@@ -160,9 +160,10 @@ def _sampled_section(repeat: int) -> list[dict]:
             sim = None
             for _ in range(repeat):
                 pipe = build_processor(build_lsq(spec))
+                pipe.event_skip = skip
                 t0 = time.perf_counter()
                 sim = run_sampled(pipe, make_trace(name), plan,
-                                  warm_engine=eng, event_skip=skip)
+                                  warm_engine=eng)
                 secs = time.perf_counter() - t0
                 best = secs if best is None else min(best, secs)
             consumed = sim.extra["sampling"]["source_uops_consumed"]

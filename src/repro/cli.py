@@ -67,6 +67,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import os
+import signal
 import sys
 
 
@@ -520,14 +521,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.port_file:
         # written only after the socket is bound: scripts wait on this file
         write_port_file(args.port_file, port)
+    # SIGTERM takes SIGINT's path, so either one closes the server and
+    # joins the pool workers instead of orphaning them
+    previous = signal.signal(signal.SIGTERM, _raise_interrupt)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         log.info("interrupted; tearing down")
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.server_close()
         service.teardown()
     return 0
+
+
+def _raise_interrupt(signum, frame):
+    raise KeyboardInterrupt
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:

@@ -26,6 +26,7 @@ and refetches starting at the ROB head, replaying buffered trace records.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -47,6 +48,9 @@ from repro.isa.uop import UOp
 from repro.lsq.base import BaseLSQ, RouteKind
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs.telemetry import build_extra, get_telemetry
+
+#: "no sequence number": above every real seq (frontier / bound sentinel)
+_NO_SEQ = 1 << 62
 
 #: hoisted Table 5 cache-access energies (read per data-side access)
 _E_DCACHE_WAY = CACHE_ENERGY["dcache_way_known_access"]
@@ -86,10 +90,12 @@ class SimResult:
         return sum(self.lsq_energy_pj.values())
 
     def to_dict(self) -> dict:
-        """JSON-serialisable snapshot (includes derived metrics)."""
-        from dataclasses import asdict
+        """JSON-serialisable snapshot (includes derived metrics).
 
-        d = asdict(self)
+        Equal to ``dataclasses.asdict`` (a deep copy: mutating the dict
+        never reaches the result) at a fraction of its recursive cost.
+        """
+        d = {name: _copy_value(getattr(self, name)) for name in _RESULT_FIELDS}
         d["ipc"] = self.ipc
         d["lsq_energy_total_pj"] = self.lsq_energy_total_pj
         return d
@@ -109,8 +115,36 @@ class SimResult:
         return get_telemetry(self)
 
 
+#: SimResult's dataclass fields, in declaration (= ``asdict``) order
+_RESULT_FIELDS = tuple(SimResult.__dataclass_fields__)
+_SCALARS = (int, float, str, bool, type(None))
+
+
+def _copy_value(value):
+    """``asdict``'s copy of one field value: containers are rebuilt,
+    scalars shared (immutable), anything else deep-copied."""
+    kind = type(value)
+    if kind is dict:
+        return {k: _copy_value(v) for k, v in value.items()}
+    if kind is list:
+        return [_copy_value(v) for v in value]
+    if kind is tuple:
+        return tuple(_copy_value(v) for v in value)
+    if kind in _SCALARS:
+        return value
+    return copy.deepcopy(value)
+
+
 class Pipeline:
-    """The cycle loop.  Construct via :func:`repro.core.processor.build_processor`."""
+    """The cycle loop.  Construct via :func:`repro.core.processor.build_processor`.
+
+    Every run is event-driven: between steps, cycles on which no stage
+    can act are jumped over in closed form (:meth:`_skip_quiescent`),
+    bit-identically to the stepped loop.  The stepped loop stays as the
+    oracle (``event_skip = False``) and as the loop of the two modes
+    that must see every cycle: an attached cycle tracer and the per-poll
+    MSHR reference accounting (``mem.interval_stall_stats = False``).
+    """
 
     # slotted layout: every per-cycle self.X read resolves through a slot
     # instead of the instance dict; "__dict__" keeps ad-hoc attribute
@@ -126,7 +160,7 @@ class Pipeline:
         "_track_data", "_iw_int", "_iw_fp",
         "cycle", "committed", "deadlock_flushes", "overflow_flushes",
         "_last_commit_cycle", "_events", "_inflight", "_waiters",
-        "_data_waiters", "_pending_loads", "_unresolved_stores",
+        "_data_waiters", "_pending_loads", "_pending_min", "_unresolved_stores",
         "_int_regs_used", "_fp_regs_used",
         "_trace", "_replay", "_fetch_seq", "_trace_exhausted",
         "_fetch_stall_seq", "_fetch_block_until", "_last_iline",
@@ -215,6 +249,9 @@ class Pipeline:
         self._waiters: dict[int, list[InFlight]] = {}
         self._data_waiters: dict[int, list[InFlight]] = {}
         self._pending_loads: list[InFlight] = []
+        #: lower bound on the seqs in _pending_loads: while the oldest
+        #: unresolved store is older, every pending load is blocked
+        self._pending_min = _NO_SEQ
         self._unresolved_stores: deque[InFlight] = deque()
         self._int_regs_used = 0
         self._fp_regs_used = 0
@@ -248,12 +285,14 @@ class Pipeline:
         self._ctrace = None
 
         #: event-driven skipping of quiescent stall cycles (see
-        #: :meth:`_skip_quiescent`).  Bit-preserving by construction, so
-        #: like the warm-engine choice it is not part of any cache key;
-        #: off by default so full-replay runs keep a zero-cost loop, and
-        #: enabled by the sampled-run driver where stall-dominated
-        #: measured windows are the wall-clock bottleneck.
-        self.event_skip = False
+        #: :meth:`_skip_quiescent`), on for every run.  Bit-preserving by
+        #: construction, so like the warm-engine choice it is not part of
+        #: any cache key.  Setting it False runs the stepped loop, the
+        #: oracle of tests/test_event_skip.py; an attached cycle tracer
+        #: and the per-poll MSHR reference mode
+        #: (``mem.interval_stall_stats = False``) always step, because
+        #: both must see every cycle.
+        self.event_skip = True
         #: cycles jumped over by the skip (diagnostic; not a statistic)
         self.skipped_cycles = 0
 
@@ -332,7 +371,8 @@ class Pipeline:
             if kind == "agu":
                 ins.addr_ready = True
                 lsq.address_ready(ins)
-                if self.lsq_need_flush():
+                if getattr(lsq, "need_flush", False):
+                    # AddrBuffer overflow signal from the SAMIE model
                     self._flush_requested = True
                 if ins.uop.is_store:
                     self._advance_store_frontier()
@@ -340,6 +380,8 @@ class Pipeline:
                         ins.done = True
                 else:
                     self._pending_loads.append(ins)
+                    if ins.seq < self._pending_min:
+                        self._pending_min = ins.seq
                 continue
             if kind != "exec" and kind != "mem":  # pragma: no cover
                 raise RuntimeError(f"unknown event {kind}")
@@ -357,10 +399,6 @@ class Pipeline:
                     w.done = True
             if kind == "exec" and ins.uop.is_branch:
                 self._resolve_branch(ins)
-
-    def lsq_need_flush(self) -> bool:
-        """AddrBuffer overflow signal from the SAMIE model."""
-        return bool(getattr(self.lsq, "need_flush", False))
 
     def _resolve_branch(self, ins: InFlight) -> None:
         u = ins.uop
@@ -471,7 +509,9 @@ class Pipeline:
         inflight = self._inflight
         while q and (q[0].disamb_resolved or q[0].seq not in inflight):
             q.popleft()
-        frontier = q[0].seq if q else 1 << 62
+        frontier = q[0].seq if q else _NO_SEQ
+        if frontier < self._pending_min:
+            return  # every pending load waits on an older unresolved store
         lsq = self.lsq
         mem = self.mem
         track = self._track_data
@@ -523,6 +563,7 @@ class Pipeline:
                 self._schedule(self.cycle + max(1, out.latency), "mem", ld)
         if still is not None:
             self._pending_loads = still
+            self._pending_min = min([ld.seq for ld in still], default=_NO_SEQ)
 
     # ------------------------------------------------------------------
     # stage 5: issue
@@ -589,21 +630,25 @@ class Pipeline:
         if not fq or len(rob_buf) >= rob_cap:
             return  # cheap exit before binding the per-uop locals
         inflight = self._inflight
+        waiters = self._waiters
         lsq = self.lsq
+        int_iq = self.int_iq
+        fp_iq = self.fp_iq
+        cfg = self.cfg
         for _ in range(self._decode_width):
             if not fq or len(rob_buf) >= rob_cap:
                 return
             uop = fq[0]
-            iq = self.fp_iq if uop.is_fp else self.int_iq
+            iq = fp_iq if uop.is_fp else int_iq
             if iq.size >= iq.capacity:
                 return
             # inlined _acquire_reg
             if uop.is_fp:
-                if self._fp_regs_used >= self.cfg.fp_regs:
+                if self._fp_regs_used >= cfg.fp_regs:
                     return
                 self._fp_regs_used += 1
             elif uop.needs_int_reg:
-                if self._int_regs_used >= self.cfg.int_regs:
+                if self._int_regs_used >= cfg.int_regs:
                     return
                 self._int_regs_used += 1
             ins = InFlight(uop)
@@ -611,45 +656,54 @@ class Pipeline:
                 self._release_reg(ins)
                 return
             fq.popleft()
-            inflight[uop.seq] = ins
+            seq = uop.seq
+            inflight[seq] = ins
             rob_buf.append(ins)  # inlined rob.push (capacity checked above)
-            self._resolve_deps(ins)
+            # register dependences: a producer still in flight and not yet
+            # done gates issue (stores and branches write no register);
+            # a store's data operand (src2) gates only its data, not AGU
+            deps = 0
+            data_ready = True
+            if uop.src1:
+                pseq = seq - uop.src1
+                prod = inflight.get(pseq)
+                if prod is not None and not prod.done and not (
+                    prod.uop.is_store or prod.uop.is_branch
+                ):
+                    ins.src1_seq = pseq
+                    deps = 1
+                    bucket = waiters.get(pseq)
+                    if bucket is None:
+                        waiters[pseq] = [ins]
+                    else:
+                        bucket.append(ins)
+            if uop.src2:
+                pseq = seq - uop.src2
+                prod = inflight.get(pseq)
+                if prod is not None and not prod.done and not (
+                    prod.uop.is_store or prod.uop.is_branch
+                ):
+                    ins.src2_seq = pseq
+                    if uop.is_store:
+                        data_ready = False
+                        self._data_waiters.setdefault(pseq, []).append(ins)
+                    else:
+                        deps += 1
+                        bucket = waiters.get(pseq)
+                        if bucket is None:
+                            waiters[pseq] = [ins]
+                        else:
+                            bucket.append(ins)
             # inlined IssueQueue.insert (capacity checked above)
             iq.size += 1
-            if ins.deps_left == 0:
-                heappush(iq._ready, (uop.seq, ins))
+            if deps:
+                ins.deps_left = deps
+            else:
+                heappush(iq._ready, (seq, ins))
             if uop.is_store:
+                ins.store_data_ready = data_ready
                 ins.disamb_resolved = False
                 self._unresolved_stores.append(ins)
-
-    def _resolve_deps(self, ins: InFlight) -> None:
-        u = ins.uop
-        inflight = self._inflight
-        if u.src1:
-            pseq = u.seq - u.src1
-            prod = inflight.get(pseq)
-            if prod is not None and not prod.done and not (
-                prod.uop.is_store or prod.uop.is_branch
-            ):
-                ins.src1_seq = pseq
-                ins.deps_left += 1
-                self._waiters.setdefault(pseq, []).append(ins)
-        if u.src2:
-            pseq = u.seq - u.src2
-            prod = inflight.get(pseq)
-            if prod is not None and not prod.done and not (
-                prod.uop.is_store or prod.uop.is_branch
-            ):
-                if u.is_store:
-                    # store data operand: does not gate address generation
-                    ins.src2_seq = pseq
-                    self._data_waiters.setdefault(pseq, []).append(ins)
-                    return
-                ins.src2_seq = pseq
-                ins.deps_left += 1
-                self._waiters.setdefault(pseq, []).append(ins)
-        if u.is_store:
-            ins.store_data_ready = True
 
     # ------------------------------------------------------------------
     # stage 7: fetch
@@ -713,6 +767,7 @@ class Pipeline:
         self._waiters.clear()
         self._data_waiters.clear()
         self._pending_loads.clear()
+        self._pending_min = _NO_SEQ
         self._unresolved_stores.clear()
         self._events.clear()
         self.int_iq.clear()
@@ -908,7 +963,9 @@ class Pipeline:
 
     def _run_until(self, target_committed: int, cycle_limit: int) -> None:
         step = self.step
-        if self.event_skip and self._ctrace is None:
+        # a cycle tracer and per-poll MSHR stall counting must see every
+        # cycle, so both keep the stepped loop
+        if self.event_skip and self._ctrace is None and self.mem.interval_stall_stats:
             skip = self._skip_quiescent
             while self.committed < target_committed and self.cycle < cycle_limit:
                 if self._trace_exhausted and not self._inflight and not self.fetch_queue:
@@ -929,7 +986,8 @@ class Pipeline:
     def _skip_quiescent(self, cycle_limit: int) -> None:
         """Jump over cycles on which no stage can make progress.
 
-        Runs between steps when :attr:`event_skip` is on.  The guard is
+        Runs between steps unless the stepped loop is forced (see
+        :attr:`event_skip` and :meth:`_run_until`).  The guard is
         *a priori*: every stage must be provably unable to act before
         any cycle is skipped, because several per-cycle probes are not
         no-ops when they can act (SAMIE AddrBuffer drains and ARB
@@ -947,10 +1005,13 @@ class Pipeline:
         results match with skipping on or off (enforced by
         tests/test_event_skip.py and the CI ``mshr-smoke`` job).
         """
+        cycle = self.cycle
+        # an event already due next cycle: nothing to skip
+        if cycle in self._events:
+            return
         # anything issuable, or a pending overflow flush: active
         if self.int_iq._ready or self.fp_iq._ready or self._flush_requested:
             return
-        cycle = self.cycle
         wake = cycle_limit
         # fetch: able to pull from the trace next cycle -> active; an
         # I-miss block ends at a known cycle, a mispredict stall ends
@@ -1004,15 +1065,17 @@ class Pipeline:
         if self._pending_loads:
             # a ready pending load acts every cycle it is polled (route
             # arbitration charges energy even while MSHR-blocked), so
-            # any live one not gated by disambiguation/operands is active
-            inflight = self._inflight
+            # any live one not gated by disambiguation/operands is active;
+            # no walk when an older unresolved store gates them all
             q = self._unresolved_stores
-            frontier = q[0].seq if q else 1 << 62
-            for ld in self._pending_loads:
-                if ld.seq not in inflight or ld.mem_started or ld.seq > frontier:
-                    continue  # inert, or unblocks via a store's events
-                if lsq.load_ready(ld):
-                    return
+            frontier = q[0].seq if q else _NO_SEQ
+            if frontier >= self._pending_min:
+                inflight = self._inflight
+                for ld in self._pending_loads:
+                    if ld.seq not in inflight or ld.mem_started or ld.seq > frontier:
+                        continue  # inert, or unblocks via a store's events
+                    if lsq.load_ready(ld):
+                        return
         if self._events:
             ev = min(self._events)
             if ev < wake:

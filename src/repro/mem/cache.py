@@ -86,11 +86,19 @@ class Cache:
             raise ValueError("number of sets must be a power of two")
         self.set_mask = self.num_sets - 1
         self.set_bits = ilog2(self.num_sets)
-        self._sets = [[_Line() for _ in range(assoc)] for _ in range(self.num_sets)]
+        #: per-set way lists, built on first touch (:meth:`_build_set`);
+        #: an unbuilt set (None) reads as ``assoc`` invalid, never-used
+        #: lines, so a short run pays only for the sets it reaches
+        self._sets: list[list[_Line] | None] = [None] * self.num_sets
         self._clock = 0
         self.stats = CacheStats()
         #: callback(set_index, evicted_line_addr) fired on every replacement
         self.on_evict = on_evict
+
+    def _build_set(self, set_idx: int) -> list[_Line]:
+        """Build the (all invalid) way list of an untouched set."""
+        s = self._sets[set_idx] = [_Line() for _ in range(self.assoc)]
+        return s
 
     # -- address decomposition -------------------------------------------
     def set_of(self, line_addr: int) -> int:
@@ -104,8 +112,10 @@ class Cache:
     # -- lookup ------------------------------------------------------------
     def probe(self, line_addr: int) -> int | None:
         """Return the way holding ``line_addr`` (no state change), or None."""
-        s = self._sets[self.set_of(line_addr)]
-        tag = self.tag_of(line_addr)
+        s = self._sets[line_addr & self.set_mask]
+        if s is None:
+            return None
+        tag = line_addr >> self.set_bits
         for w, line in enumerate(s):
             if line.valid and line.tag == tag:
                 return w
@@ -115,9 +125,11 @@ class Cache:
         """Perform an access: update LRU, allocate on miss, return outcome."""
         self._clock += 1
         self.stats.accesses += 1
-        set_idx = self.set_of(line_addr)
+        set_idx = line_addr & self.set_mask
         s = self._sets[set_idx]
-        tag = self.tag_of(line_addr)
+        if s is None:
+            s = self._build_set(set_idx)
+        tag = line_addr >> self.set_bits
         for w, line in enumerate(s):
             if line.valid and line.tag == tag:
                 self.stats.hits += 1
@@ -161,9 +173,11 @@ class Cache:
         architectural state, not a statistic.  Returns the hit outcome.
         """
         self._clock += 1
-        set_idx = self.set_of(line_addr)
+        set_idx = line_addr & self.set_mask
         s = self._sets[set_idx]
-        tag = self.tag_of(line_addr)
+        if s is None:
+            s = self._build_set(set_idx)
+        tag = line_addr >> self.set_bits
         for line in s:
             if line.valid and line.tag == tag:
                 line.lru = self._clock
@@ -190,10 +204,12 @@ class Cache:
         """Canonical snapshot of all placement state (tags, flags, LRU
         clocks) for the warm-engine equivalence tier: two caches behaved
         bit-identically iff their dumps are equal."""
+        unbuilt = [(0, False, False, False, 0)] * self.assoc
         return {
             "clock": self._clock,
             "sets": [
                 [(ln.tag, ln.valid, ln.dirty, ln.present_bit, ln.lru) for ln in s]
+                if s is not None else list(unbuilt)
                 for s in self._sets
             ],
         }
@@ -201,24 +217,28 @@ class Cache:
     # -- presentBit support (SAMIE extension) ------------------------------
     def set_present_bit(self, set_idx: int, way: int, value: bool = True) -> None:
         """Set/clear the presentBit of a resident line."""
-        self._sets[set_idx][way].present_bit = value
+        s = self._sets[set_idx]
+        if s is None:
+            s = self._build_set(set_idx)
+        s[way].present_bit = value
 
     def present_bit(self, set_idx: int, way: int) -> bool:
         """Read the presentBit of a line."""
-        return self._sets[set_idx][way].present_bit
+        s = self._sets[set_idx]
+        return s is not None and s[way].present_bit
 
     def line_at(self, set_idx: int, way: int) -> int | None:
         """Line address resident at (set, way), or None if invalid."""
-        line = self._sets[set_idx][way]
-        if not line.valid:
+        s = self._sets[set_idx]
+        if s is None or not s[way].valid:
             return None
-        return (line.tag << self.set_bits) | set_idx
+        return (s[way].tag << self.set_bits) | set_idx
 
     def contents(self) -> set[int]:
         """All resident line addresses (testing aid)."""
         out: set[int] = set()
         for set_idx, s in enumerate(self._sets):
-            for line in s:
+            for line in s or ():
                 if line.valid:
                     out.add((line.tag << self.set_bits) | set_idx)
         return out
@@ -226,7 +246,7 @@ class Cache:
     def flush(self) -> None:
         """Invalidate every line (does not fire eviction callbacks)."""
         for s in self._sets:
-            for line in s:
+            for line in s or ():
                 line.valid = False
                 line.dirty = False
                 line.present_bit = False

@@ -233,6 +233,8 @@ def _warm_cache(cache, lines, writes) -> None:
         # lists (C-speed .index()/min()) and write the lines back once;
         # invalid ways carry tag None so an integer tag can never match
         ways = sets[si]
+        if ways is None:
+            ways = cache._build_set(si)
         vtag = [ln.tag if ln.valid else None for ln in ways]
         vlru = [ln.lru for ln in ways]
         vdirty = [ln.dirty for ln in ways]

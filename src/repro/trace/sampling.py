@@ -374,7 +374,6 @@ def run_sampled(
     max_measured: int | None = None,
     functional_warming: bool = True,
     warm_engine: str = "vector",
-    event_skip: bool = True,
 ) -> SimResult:
     """Drive ``pipe`` over the sampled windows of ``trace``.
 
@@ -386,15 +385,12 @@ def run_sampled(
     MSHR miss-merging; see the module docstring) additionally feeds
     skipped uops through the caches/TLB/predictor, under the
     ``warm_engine`` of choice (``"vector"``/``"scalar"``; bit-identical
-    by contract, see the module docstring).  ``event_skip`` (default
-    on) lets the detailed windows jump over quiescent stall cycles
-    (:meth:`Pipeline._skip_quiescent`) -- like the warm-engine choice
-    it is bit-identical by contract (enforced by
-    ``tests/test_event_skip.py``) and therefore not part of any cache
-    key; the realized speedup is plan- and workload-dependent (it
-    scales with how stall-dominated the measured windows are).  Stops
-    when the trace is exhausted or ``max_measured`` instructions have
-    been measured.
+    by contract, see the module docstring).  The detailed windows run
+    under the pipeline's own cycle-skip setting (``pipe.event_skip``,
+    on for every run; bit-identical by contract, enforced by
+    ``tests/test_event_skip.py``, and therefore not part of any cache
+    key).  Stops when the trace is exhausted or ``max_measured``
+    instructions have been measured.
     """
     engine = make_warm_engine(pipe, warm_engine) if functional_warming else None
     stream = SampledStream(trace, plan, engine=engine)
@@ -402,35 +398,30 @@ def run_sampled(
     windows: list[SimResult] = []
     measured = 0
     entry_committed = pipe.committed
-    prev_skip = pipe.event_skip
-    pipe.event_skip = event_skip
-    try:
-        while max_measured is None or measured < max_measured:
-            want = plan.measure
-            if max_measured is not None:
-                want = min(want, max_measured - measured)
-            before = pipe.committed
-            if plan.warmup == 0:
-                # pipe.run only resets statistics on a non-zero warmup; a
-                # zero-warmup window must still start its counters fresh
-                pipe.reset_stats()
-            # one span per detailed window (warm gaps drain inside run() via
-            # the stream); span() is a no-op unless observability is on, and
-            # windows are thousands of instructions, so the disabled cost is
-            # one enabled() check per window
-            with _spans.span(
-                "sample.window", index=len(windows),
-                engine=engine.name if engine is not None else "none",
-            ):
-                r = pipe.run(want, warmup=plan.warmup)
-            got = pipe.committed - before
-            if r.instructions > 0:
-                windows.append(r)
-                measured += r.instructions
-            if got < plan.warmup + want:  # trace exhausted mid-window
-                break
-    finally:
-        pipe.event_skip = prev_skip
+    while max_measured is None or measured < max_measured:
+        want = plan.measure
+        if max_measured is not None:
+            want = min(want, max_measured - measured)
+        before = pipe.committed
+        if plan.warmup == 0:
+            # pipe.run only resets statistics on a non-zero warmup; a
+            # zero-warmup window must still start its counters fresh
+            pipe.reset_stats()
+        # one span per detailed window (warm gaps drain inside run() via
+        # the stream); span() is a no-op unless observability is on, and
+        # windows are thousands of instructions, so the disabled cost is
+        # one enabled() check per window
+        with _spans.span(
+            "sample.window", index=len(windows),
+            engine=engine.name if engine is not None else "none",
+        ):
+            r = pipe.run(want, warmup=plan.warmup)
+        got = pipe.committed - before
+        if r.instructions > 0:
+            windows.append(r)
+            measured += r.instructions
+        if got < plan.warmup + want:  # trace exhausted mid-window
+            break
     if not windows:
         raise ValueError(
             f"no complete sampling window: the source yielded "

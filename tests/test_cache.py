@@ -126,6 +126,16 @@ class TestPresentBit:
         assert c.probe(1) is None
         assert c.contents() == set()
 
+    def test_untouched_set_reads_invalid_without_building_lines(self):
+        c = small_cache()
+        c.access(0)  # builds set 0 only
+        line = 3 + 5 * c.num_sets  # set 3, never touched
+        assert c.probe(line) is None
+        assert c.present_bit(3, 1) is False
+        assert c.line_at(3, 0) is None
+        assert c.contents() == {0}
+        assert [i for i, s in enumerate(c._sets) if s is not None] == [0]
+
 
 @settings(max_examples=30)
 @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=300))

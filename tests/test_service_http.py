@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -268,3 +273,72 @@ class TestEndpoints:
         assert stats["submitted"] == 10
         ref = herd_results[0].to_dict()
         assert all(r.to_dict() == ref for r in herd_results)
+
+
+def _children(pid: int) -> dict[int, str]:
+    """``child pid -> start time`` of every live child of ``pid``."""
+    out = {}
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            out[int(name)] = fields[19]
+    return out
+
+
+def _alive(pid: int, start: str) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return False
+    return fields[19] == start and fields[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs the Linux /proc process table")
+class TestServeProcess:
+    def test_sigterm_tears_down_and_joins_workers(self, tmp_path):
+        import repro
+
+        port_file = tmp_path / "port"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        with open(tmp_path / "serve.log", "wb") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--jobs", "2",
+                 "--port", "0", "--port-file", str(port_file), "--memory-store"],
+                env=env, stdin=subprocess.DEVNULL, stdout=log, stderr=log,
+            )
+        try:
+            deadline = time.monotonic() + 60
+            while not port_file.exists():
+                assert proc.poll() is None, "repro serve exited early"
+                assert time.monotonic() < deadline, "no port file"
+                time.sleep(0.05)
+            client = ServiceClient(
+                f"http://127.0.0.1:{int(port_file.read_text())}", timeout=60)
+            client.run_many([_spec("gzip"), _spec("swim")])
+            workers = _children(proc.pid)
+            assert workers, "the batch should have started pool workers"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        deadline = time.monotonic() + 10
+        left = dict(workers)
+        while left and time.monotonic() < deadline:
+            time.sleep(0.1)
+            left = {p: s for p, s in left.items() if _alive(p, s)}
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)  # do not leak them past the test
+        assert not left, f"pool workers outlived the server: {sorted(left)}"

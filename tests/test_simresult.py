@@ -1,5 +1,11 @@
 """Tests for SimResult serialisation and derived metrics."""
 
+import dataclasses
+import json
+import os
+
+import pytest
+
 from repro.core.pipeline import SimResult
 from repro.core.processor import run_simulation
 from repro.isa.opclasses import OpClass
@@ -11,6 +17,42 @@ def tiny_trace():
     while True:
         yield UOp(seq, 0x400000 + 4 * (seq % 32), OpClass.INT_ALU)
         seq += 1
+
+
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "golden", "core_bit_identity.json"
+)
+with open(GOLDEN_PATH) as _fh:
+    GOLDEN_RESULTS = {
+        name: case["result"] for name, case in json.load(_fh)["cases"].items()
+    }
+
+
+class TestToDict:
+    """``to_dict`` is ``dataclasses.asdict`` plus the two derived keys."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RESULTS))
+    def test_equals_asdict_on_golden_results(self, name):
+        r = SimResult.from_dict(GOLDEN_RESULTS[name])
+        want = dataclasses.asdict(r)
+        want["ipc"] = r.ipc
+        want["lsq_energy_total_pj"] = r.lsq_energy_total_pj
+        got = r.to_dict()
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RESULTS))
+    def test_mutating_the_dict_leaves_the_result_alone(self, name):
+        r = SimResult.from_dict(GOLDEN_RESULTS[name])
+        before = json.dumps(r.to_dict())
+        d = r.to_dict()
+        for value in d.values():
+            if isinstance(value, dict):
+                value["injected"] = 1
+                for inner in value.values():
+                    if isinstance(inner, dict):
+                        inner.clear()
+        assert json.dumps(r.to_dict()) == before
 
 
 class TestSimResult:
