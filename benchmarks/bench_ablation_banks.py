@@ -1,6 +1,8 @@
 """Ablation: DistribLSQ geometry (banks x entries/bank), section 3.5."""
 
 from repro.experiments.runner import SimSpec, jobs_from_env, lsq_spec, run_many
+from repro.service.session import SimService
+from repro.service.store import CacheConfig
 
 WORKLOADS = ["ammp", "swim", "gcc"]
 GEOMETRIES = [(16, 8), (32, 4), (64, 2), (128, 1)]
@@ -12,7 +14,9 @@ def sweep():
         for banks, entries in GEOMETRIES
     ]
     specs = [SimSpec.make(w, m, seed=1) for m in machines for w in WORKLOADS]
-    results = run_many(specs, jobs=jobs_from_env())
+    # a store-less session: the bench times simulation, not store reads
+    session = SimService(cache=CacheConfig(backend="off"))
+    results = run_many(specs, jobs=jobs_from_env(), session=session)
     rows = []
     for s, r in zip(specs, results):
         comparisons = r.lsq_stats["addr_comparisons"]

@@ -9,6 +9,8 @@ left on the table.
 from repro.core.config import ProcessorConfig
 from repro.experiments.runner import MACHINE_SAMIE, SimSpec, jobs_from_env, run_many
 from repro.mem.hierarchy import MemConfig
+from repro.service.session import SimService
+from repro.service.store import CacheConfig
 
 WORKLOADS = ["swim", "art", "gzip", "mcf"]
 
@@ -18,7 +20,9 @@ def sweep():
     fast_machine = ("samie-fastway", MACHINE_SAMIE[1])
     specs = [SimSpec.make(w, MACHINE_SAMIE, seed=1) for w in WORKLOADS]
     specs += [SimSpec.make(w, fast_machine, seed=1, cfg=fast_cfg) for w in WORKLOADS]
-    results = run_many(specs, jobs=jobs_from_env())
+    # a store-less session: the bench times simulation, not store reads
+    session = SimService(cache=CacheConfig(backend="off"))
+    results = run_many(specs, jobs=jobs_from_env(), session=session)
     base, fast = results[: len(WORKLOADS)], results[len(WORKLOADS):]
     return [
         (w, b.ipc, f.ipc, 100.0 * (f.ipc / b.ipc - 1.0))

@@ -1,6 +1,8 @@
 """Ablation: SharedLSQ size 0..16 (paper section 3.5 / Figure 4 choice)."""
 
 from repro.experiments.runner import SimSpec, jobs_from_env, lsq_spec, run_many
+from repro.service.session import SimService
+from repro.service.store import CacheConfig
 
 WORKLOADS = ["ammp", "apsi", "gzip"]
 SIZES = [0, 4, 8, 16]
@@ -12,7 +14,9 @@ def sweep():
         for shared in SIZES
     ]
     specs = [SimSpec.make(w, m, seed=1) for m in machines for w in WORKLOADS]
-    results = run_many(specs, jobs=jobs_from_env())
+    # a store-less session: the bench times simulation, not store reads
+    session = SimService(cache=CacheConfig(backend="off"))
+    results = run_many(specs, jobs=jobs_from_env(), session=session)
     return [
         (int(s.machine_key.removeprefix("samie-shared")), s.workload, r.ipc,
          1e6 * r.deadlock_flushes / r.cycles, r.addr_buffer_busy_frac)

@@ -6,6 +6,8 @@ entries.  The paper picks 8.
 """
 
 from repro.experiments.runner import SimSpec, jobs_from_env, lsq_spec, run_many
+from repro.service.session import SimService
+from repro.service.store import CacheConfig
 
 WORKLOADS = ["swim", "gzip", "ammp"]
 SLOTS = [2, 4, 8, 16]
@@ -17,7 +19,9 @@ def sweep():
         for slots in SLOTS
     ]
     specs = [SimSpec.make(w, m, seed=1) for m in machines for w in WORKLOADS]
-    results = run_many(specs, jobs=jobs_from_env())
+    # a store-less session: the bench times simulation, not store reads
+    session = SimService(cache=CacheConfig(backend="off"))
+    results = run_many(specs, jobs=jobs_from_env(), session=session)
     return [
         (int(s.machine_key.removeprefix("samie-slots")), s.workload, r.ipc,
          sum(r.lsq_energy_pj.values()) / r.instructions,

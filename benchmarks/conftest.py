@@ -2,31 +2,28 @@
 
 Each ``bench_*`` module regenerates one paper artefact (table/figure) and
 prints the same rows/series the paper reports.  pytest-benchmark measures
-the end-to-end regeneration cost; the simulation runner memoises results
-within the session, so artefacts that share a sweep (Figures 5-12) pay
-for it once.
+the end-to-end regeneration cost.  Every artefact runs on one shared,
+store-less ``SimService`` (``CacheConfig(backend="off")``): its memo lets
+artefacts that share a sweep (Figures 5-12) pay for it once, and having
+no result store means the benches measure simulation cost, not store
+reads from an earlier session.
 
 Parallelism: set ``REPRO_JOBS=N`` to fan every artefact's simulation
 batch out over N worker processes (0 = one per core); results are
-bit-identical to the serial run.  The on-disk result cache is disabled
-here by default (set ``REPRO_CACHE=1`` to re-enable it) so the benches
-measure simulation cost, not cache reads from an earlier session.
+bit-identical to the serial run.
 
 Scale: the paper simulates 100M instructions per benchmark; these benches
-default to ``REPRO_INSTR``/``REPRO_WARMUP`` (6000/3000) instructions so
-the whole suite regenerates in minutes on a laptop.  Raise the env vars
-for higher fidelity.
+run the drivers' default 6000/3000 instructions so the whole suite
+regenerates in minutes on a laptop.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.experiments import runner
-
-os.environ.setdefault("REPRO_CACHE", "0")
+from repro.service.session import SimService
+from repro.service.store import CacheConfig
 
 
 def bench_jobs() -> int:
@@ -34,29 +31,25 @@ def bench_jobs() -> int:
     return runner.jobs_from_env()
 
 
-@pytest.fixture(autouse=True)
-def _scale_guard():
-    """Evict memoised results from abandoned scales between benches.
-
-    The runner's memo key already embeds the per-call scale (no stale
-    result can be *served*); this guard keeps a session that changes
-    ``REPRO_INSTR``/``REPRO_WARMUP`` between parameterized runs from
-    retaining one cache generation per scale.
-    """
-    runner.ensure_scale_coherent()
-    yield
+@pytest.fixture(scope="session")
+def bench_session():
+    """The store-less session every artefact bench shares."""
+    with SimService(cache=CacheConfig(backend="off")) as session:
+        yield session
 
 
 @pytest.fixture
-def regen(benchmark):
+def regen(benchmark, bench_session):
     """Run an artefact generator once under pytest-benchmark and print it.
 
     ``REPRO_JOBS`` is threaded into the driver's ``jobs`` argument unless
-    the bench passes one explicitly.
+    the bench passes one explicitly; the driver runs on
+    :func:`bench_session`.
     """
 
     def _run(compute, *args, **kwargs):
         kwargs.setdefault("jobs", bench_jobs())
+        kwargs.setdefault("session", bench_session)
         result = benchmark.pedantic(
             lambda: compute(*args, **kwargs), rounds=1, iterations=1, warmup_rounds=0
         )

@@ -46,12 +46,17 @@ Subcommands:
 * ``cache``                -- inspect (``info``) or empty (``clear``)
                               the content-addressed result store
 
-``run``, ``figure`` and ``all`` accept ``--jobs N`` (0 = one worker per
+The simulating verbs (``run``, ``figure``, ``all``, ``trace replay``,
+``scenarios run``/``sweep``) accept ``--jobs N`` (0 = one worker per
 core); uncached simulations fan out over a ``ProcessPoolExecutor`` with
-results bit-identical to the serial path.  Completed simulations are also
-persisted to an on-disk JSON cache (``~/.cache/samie-repro``, override
-with ``REPRO_CACHE_DIR``), so a second invocation at the same scale is
-served from disk; ``--no-cache`` (or ``REPRO_CACHE=0``) disables it.
+results bit-identical to the serial path.  Each command runs on one
+``SimService`` whose result store persists completed simulations as
+JSON (``~/.cache/samie-repro``, relocated by ``--cache-dir DIR``), so a
+second invocation at the same scale is served from the store;
+``--no-cache`` disables it.  Flags are the only inputs: a simulation's
+scale is ``--instructions``/``--warmup`` (``figure``/``all`` default to
+6000/3000), and a retired ``REPRO_*`` scale or cache variable in the
+environment makes every command exit 2 naming the flag that replaced it.
 
 ``run``, ``figure``, ``all`` and ``trace replay`` also accept
 ``--mem KEY=V[,KEY=V...]`` -- declarative memory-hierarchy overrides
@@ -75,6 +80,16 @@ EXPERIMENTS = [
     "figure1", "figure3", "figure4", "figure5", "figure6", "figure7",
     "figure8", "figure9", "figure10", "figure11", "figure12", "table1",
 ]
+
+#: environment variables that once set a run's scale or store -> the flag
+#: that replaced each; ``main`` refuses to run while one is set, so an old
+#: script fails loudly instead of silently running at the default scale
+RETIRED_ENV = {
+    "REPRO_CACHE": "--no-cache (serve: --memory-store)",
+    "REPRO_CACHE_DIR": "--cache-dir",
+    "REPRO_INSTR": "--instructions",
+    "REPRO_WARMUP": "--warmup",
+}
 
 #: ``run --lsq`` choice -> canonical machine (machine_key, lsq_spec)
 def _run_machine(name: str):
@@ -222,10 +237,29 @@ def _run_instrumented(args: argparse.Namespace, specs: list) -> int:
     return 0
 
 
+def _cache_config(args: argparse.Namespace):
+    """The ``CacheConfig`` a command's flags select (default: ``CacheConfig()``)."""
+    from repro.service.store import CacheConfig
+
+    if getattr(args, "no_cache", False):
+        return CacheConfig(backend="off")
+    if getattr(args, "memory_store", False):
+        return CacheConfig(backend="memory")
+    if getattr(args, "cache_dir", None):
+        return CacheConfig(directory=args.cache_dir)
+    return CacheConfig()
+
+
+def _session(args: argparse.Namespace):
+    """The one ``SimService`` a command runs all its simulations on."""
+    from repro.service.session import SimService
+
+    return SimService(cache=_cache_config(args))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
-    from repro.experiments.runner import run_many
     from repro.trace.format import TraceError
     from repro.workloads.registry import UnknownWorkloadError
 
@@ -239,7 +273,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.profile or args.cycle_trace:
         return _run_instrumented(args, specs)
     try:
-        results = run_many(specs, jobs=args.jobs)
+        results = _session(args).run_many(specs, jobs=args.jobs)
     except UnknownWorkloadError as e:
         # mistyped workload name: clean message (with the close-match
         # suggestion when the registry found one), not a traceback
@@ -314,7 +348,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if mem is _MEM_ERROR:
         return 2
     mod = importlib.import_module(f"repro.experiments.{args.id}")
-    result = mod.compute(jobs=args.jobs, mem=mem)
+    result = mod.compute(instructions=args.instructions, warmup=args.warmup,
+                         jobs=args.jobs, mem=mem, session=_session(args))
     print(result.to_text())
     if args.id in _BAR_COLUMNS:
         from repro.experiments.report import bar_chart
@@ -333,9 +368,11 @@ def _cmd_all(args: argparse.Namespace) -> int:
         return 2
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+    session = _session(args)  # one session: Figures 5-12 share one sweep
     for exp in EXPERIMENTS:
         mod = importlib.import_module(f"repro.experiments.{exp}")
-        result = mod.compute(jobs=args.jobs, mem=mem)
+        result = mod.compute(instructions=args.instructions, warmup=args.warmup,
+                             jobs=args.jobs, mem=mem, session=session)
         text = result.to_text()
         print(text)
         print()
@@ -396,7 +433,7 @@ def _cmd_trace_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import SimSpec, run_many
+    from repro.experiments.runner import SimSpec
     from repro.trace.format import TraceError, read_info
     from repro.trace.sampling import SamplePlan, attach_error
     from repro.trace.workload import spec_name
@@ -447,7 +484,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     if sample is not None and args.check_full:
         specs.append(SimSpec.make(name, machine, n, args.warmup, args.seed, mem=mem))
     try:
-        results = run_many(specs, jobs=args.jobs)
+        results = _session(args).run_many(specs, jobs=args.jobs)
     except TraceError as e:
         # a frame can be corrupt even when the footer verifies (the
         # pre-check above is footer-only); fail cleanly, not mid-traceback
@@ -466,17 +503,6 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         attach_error(res, results[1])
     _print_result(name, res)
     return 0
-
-
-def _serve_cache_config(args: argparse.Namespace):
-    """Explicit CacheConfig for ``serve``/``cache`` (env is the fallback)."""
-    from repro.service.store import CacheConfig
-
-    if getattr(args, "memory_store", False):
-        return CacheConfig(backend="memory")
-    if getattr(args, "cache_dir", None):
-        return CacheConfig(backend="local", directory=args.cache_dir)
-    return CacheConfig.from_env()
 
 
 def write_port_file(path: str, port: int) -> None:
@@ -503,7 +529,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                       json_lines=args.log_json)
     log = obs_log.get_logger("serve")
     service = SimService(
-        cache=_serve_cache_config(args),
+        cache=_cache_config(args),
         jobs=args.jobs,
         backend=args.backend,
         max_pending=args.max_pending,
@@ -607,7 +633,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.service.store import build_store
 
-    store = build_store(_serve_cache_config(args))
+    store = build_store(_cache_config(args))
     if args.cache_cmd == "info":
         print(store.info().describe())
         return 0
@@ -681,11 +707,11 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
 
 def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
     from repro.experiments import scenario_sweep
-    from repro.experiments.runner import default_session
 
     mem = _parse_mem(args)
     if mem is _MEM_ERROR:
         return 2
+    session = _session(args)
     try:
         result = scenario_sweep.compute(
             scenarios=args.scenario or None,
@@ -694,6 +720,7 @@ def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
             seed=args.seed,
             jobs=args.jobs,
             mem=mem,
+            session=session,
         )
     except ValueError as e:
         print(e, file=sys.stderr)
@@ -704,7 +731,7 @@ def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
             fh.write(result.to_json() + "\n")
         print(f"report written to {args.json}")
     # CI asserts warm reruns serve from the store: simulated == 0
-    s = default_session().stats.snapshot()
+    s = session.stats.snapshot()
     print(f"session: simulated={s['simulated']} memo={s['memo_hits']} "
           f"store={s['store_hits']}")
     return 0
@@ -809,13 +836,22 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel simulation workers (0 = one per core)")
         p.add_argument("--no-cache", action="store_true",
-                       help="disable the on-disk result cache (REPRO_CACHE=0)")
+                       help="disable the result store (overrides --cache-dir)")
+        p.add_argument("--cache-dir", default=None, metavar="DIR",
+                       help="result-store directory (default "
+                            "~/.cache/samie-repro)")
         p.add_argument("--mem", default=None, metavar="K=V[,K=V...]",
                        help="memory-hierarchy overrides (MemConfig fields "
                             "plus l1d_sets/l1d_ways sugar), e.g. "
                             "--mem mshr_entries=4,l1d_sets=128; "
                             "mshr_entries=1,mshr_targets=1 restores the "
                             "blocking-cache model")
+
+    def add_scale_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--instructions", type=int, default=None,
+                       help="measured instructions per simulation (default 6000)")
+        p.add_argument("--warmup", type=int, default=None,
+                       help="warmup instructions per simulation (default 3000)")
 
     run_p = sub.add_parser("run", help="simulate one or more workloads")
     run_p.add_argument("workload", nargs="+")
@@ -837,12 +873,14 @@ def main(argv: list[str] | None = None) -> int:
 
     fig_p = sub.add_parser("figure", help="regenerate one paper artefact")
     fig_p.add_argument("id")
+    add_scale_flags(fig_p)
     add_sweep_flags(fig_p)
     fig_p.set_defaults(fn=_cmd_figure)
 
     all_p = sub.add_parser("all", help="regenerate every artefact")
     all_p.add_argument("--out", default=None,
                        help="also write per-artefact .txt/.json files here")
+    add_scale_flags(all_p)
     add_sweep_flags(all_p)
     all_p.set_defaults(fn=_cmd_all)
 
@@ -993,7 +1031,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="admission control: refuse batches that would "
                             "push queued+running past N (default: unbounded)")
     srv_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="result-store directory (overrides REPRO_CACHE_DIR)")
+                       help="result-store directory (default "
+                            "~/.cache/samie-repro)")
     srv_p.add_argument("--memory-store", action="store_true",
                        help="keep results in memory only (no disk cache)")
     srv_p.add_argument("--verbose", action="store_true",
@@ -1044,12 +1083,18 @@ def main(argv: list[str] | None = None) -> int:
                         ("clear", "remove every entry (reports stale/corrupt)")]:
         cp = cache_sub.add_parser(name, help=blurb)
         cp.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="result-store directory (overrides REPRO_CACHE_DIR)")
+                        help="result-store directory (default "
+                             "~/.cache/samie-repro)")
         cp.set_defaults(fn=_cmd_cache)
 
     args = parser.parse_args(argv)
+    retired = [name for name in RETIRED_ENV if name in os.environ]
+    for name in retired:
+        print(f"{name} is no longer read; pass {RETIRED_ENV[name]}", file=sys.stderr)
+    if retired:
+        return 2
     try:
-        return _dispatch(args)
+        return args.fn(args)
     except BrokenPipeError:
         # output piped into a pager/head that exited; not an error --
         # repoint stdout at devnull so interpreter shutdown stays quiet
@@ -1058,22 +1103,6 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass
         return 0
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if getattr(args, "no_cache", False):
-        # scope the disk-cache override to this command: a library caller
-        # invoking main() twice must not inherit a stale REPRO_CACHE=0
-        saved = os.environ.get("REPRO_CACHE")
-        os.environ["REPRO_CACHE"] = "0"
-        try:
-            return args.fn(args)
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_CACHE", None)
-            else:
-                os.environ["REPRO_CACHE"] = saved
-    return args.fn(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,15 +3,18 @@
 Every driver exposes ``compute(..., jobs=N) -> FigureResult`` returning
 the same rows/series the paper reports, plus a ``main()`` for CLI use.
 Drivers build :class:`~repro.experiments.runner.SimSpec` batches and hand
-them to :func:`~repro.experiments.runner.run_many`, which memoises per
-(workload, machine, scale, seed, config) within the process, persists
-results to an optional on-disk JSON cache, and fans uncached specs out
-over a process pool when ``jobs > 1`` (Figures 5-12 all share one
-conventional-vs-SAMIE sweep, simulated once per session).
+them to :func:`~repro.experiments.runner.run_many` on the ``session=``
+they are given (default: the runner's default session), which memoises
+per (workload, machine, scale, seed, config), persists results to its
+result store, and fans uncached specs out over a process pool when
+``jobs > 1`` (Figures 5-12 all share one conventional-vs-SAMIE sweep,
+simulated once per session).
 """
 
 from repro.experiments.report import FigureResult, format_table, geomean
 from repro.experiments.runner import (
+    DEFAULT_INSTRUCTIONS,
+    DEFAULT_WARMUP,
     MACHINE_CONV128,
     MACHINE_SAMIE,
     MACHINE_UNBOUNDED,
@@ -24,7 +27,6 @@ from repro.experiments.runner import (
     parse_mem_overrides,
     validate_mem_spec,
     run_many,
-    run_one,
     run_pair,
     run_spec,
     suite_pairs,
@@ -46,7 +48,6 @@ __all__ = [
     "parse_mem_overrides",
     "validate_mem_spec",
     "run_many",
-    "run_one",
     "run_pair",
     "run_spec",
     "suite_pairs",
@@ -56,11 +57,3 @@ __all__ = [
     "geomean",
 ]
 
-
-def __getattr__(name: str):
-    # live views of the environment scale (see runner.current_scale)
-    if name in ("DEFAULT_INSTRUCTIONS", "DEFAULT_WARMUP"):
-        from repro.experiments import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,25 +21,19 @@ Execution and caching live in :mod:`repro.service`:
 
 This module keeps the **stable spec vocabulary** (``SimSpec``,
 ``lsq_spec``, ``mem_spec``, the canonical machines) plus thin,
-bit-identical facades over one process-wide *default session*:
-:func:`run_spec` (the pure worker body), :func:`run_many`,
-:func:`sweep`, :func:`suite_pairs`, :func:`run_pair` and the legacy
-factory-based :func:`run_one`.  Every facade accepts ``session=`` to
-target an explicit :class:`SimService` (or a
+bit-identical facades over a session: :func:`run_spec` (the pure worker
+body), :func:`run_many`, :func:`sweep`, :func:`suite_pairs` and
+:func:`run_pair`.  Every facade accepts ``session=`` to target an
+explicit :class:`SimService` (or a
 :class:`~repro.service.client.ServiceClient` speaking to a remote one);
-with ``session=None`` they share the default session, whose store
-follows the **deprecated** ``REPRO_CACHE``/``REPRO_CACHE_DIR``
-environment variables via :meth:`CacheConfig.from_env` so existing
-scripts keep working (see that method for the deprecation path -- new
-code passes a ``CacheConfig`` or store explicitly).
+with ``session=None`` they share :func:`default_session`, built once
+over this module's memo and the default ``CacheConfig()`` store.
 
-Scale knobs: the paper simulates 100M instructions per benchmark on a
-native simulator; this pure-Python model defaults to 6000 instructions
-per run (override with the ``REPRO_INSTR`` / ``REPRO_WARMUP`` environment
-variables for higher-fidelity runs).  ``DEFAULT_INSTRUCTIONS`` and
-``DEFAULT_WARMUP`` are module attributes resolved *per access* from
-:func:`current_scale`, so they can never disagree with the per-call
-semantics of :func:`run_one`.
+Scale: the paper simulates 100M instructions per benchmark on a native
+simulator; this pure-Python model defaults to :data:`DEFAULT_INSTRUCTIONS`
+measured instructions after :data:`DEFAULT_WARMUP` warmup instructions
+per run.  A spec's scale is whatever its caller passed to
+:meth:`SimSpec.make`; nothing read from the environment changes it.
 """
 
 from __future__ import annotations
@@ -47,9 +41,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.service.store import CacheClearance, CacheConfig, content_address
+from repro.service.store import content_address
 
 from repro.core.config import ProcessorConfig
 from repro.core.pipeline import SimResult
@@ -83,47 +77,10 @@ from repro.workloads.spec2000 import SPEC2000_PROFILES
 CACHE_VERSION = 6
 
 
-def current_scale() -> tuple[int, int]:
-    """(instructions, warmup) from the environment, read at call time.
-
-    Reading per call (rather than once at import) lets a session override
-    ``REPRO_INSTR``/``REPRO_WARMUP`` between parameterized runs without
-    being served results computed at the old scale.
-    """
-    return (
-        int(os.environ.get("REPRO_INSTR", 6000)),
-        int(os.environ.get("REPRO_WARMUP", 3000)),
-    )
-
-
-def __getattr__(name: str):
-    # DEFAULT_INSTRUCTIONS/DEFAULT_WARMUP are live views of current_scale()
-    # (an import-time snapshot would go stale when REPRO_INSTR changes)
-    if name == "DEFAULT_INSTRUCTIONS":
-        return current_scale()[0]
-    if name == "DEFAULT_WARMUP":
-        return current_scale()[1]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-_last_scale: tuple[int, int] | None = None
-
-
-def ensure_scale_coherent() -> None:
-    """Drop memoised results when the environment scale changed.
-
-    Correctness is already guaranteed by the memo key (it embeds the
-    per-call scale); this hook additionally evicts results computed at
-    abandoned scales so a session that sweeps ``REPRO_INSTR`` does not
-    accumulate one cache generation per scale.  The benchmark harness
-    calls it between tests.  The disk cache is left alone: persistent
-    per-scale entries are its whole point.
-    """
-    global _last_scale
-    scale = current_scale()
-    if _last_scale is not None and scale != _last_scale:
-        clear_cache()
-    _last_scale = scale
+#: default measured / warmup instructions per simulation (``None`` in
+#: :meth:`SimSpec.make` means these)
+DEFAULT_INSTRUCTIONS = 6000
+DEFAULT_WARMUP = 3000
 
 
 #: Subset used by the expensive ARB sweep (Figure 1) at default scale.
@@ -343,14 +300,13 @@ def _spec_key(
     sample: tuple | None = None,
     mem: MemSpec | None = None,
 ) -> tuple:
-    """The one memo/disk-cache identity shared by every entry point.
+    """The one memo/store identity of a simulation.
 
-    Every component is a JSON-stable scalar (the disk cache compares the
-    key after a JSON round trip, which would turn a tuple into a list).
-    The workload is canonicalised here too, so the factory-based
-    :func:`run_one` and a :class:`SimSpec` naming the same trace by
-    alias, relative or absolute path share one cache identity -- and a
-    trace replay's seed is normalised away (recorded streams are
+    Every component is a JSON-stable scalar (the store compares the key
+    after a JSON round trip, which would turn a tuple into a list).  The
+    workload is canonicalised here too, so specs naming the same trace
+    by alias, relative or absolute path share one cache identity -- and
+    a trace replay's seed is normalised away (recorded streams are
     independent of it; distinct seeds must not duplicate cache entries).
     """
     canonical = _canonical_workload(workload)
@@ -414,15 +370,14 @@ class SimSpec:
         mem: MemSpec | dict | None = None,
         warm_engine: str = "vector",
     ) -> "SimSpec":
-        """Build a spec for ``machine`` at the given (or environment) scale."""
-        env_n, env_w = current_scale()
+        """Build a spec for ``machine`` at the given (or default) scale."""
         key, spec = machine
         return cls(
             workload=_canonical_workload(workload),
             machine_key=key,
             lsq=spec,
-            instructions=instructions if instructions is not None else env_n,
-            warmup=warmup if warmup is not None else env_w,
+            instructions=instructions if instructions is not None else DEFAULT_INSTRUCTIONS,
+            warmup=warmup if warmup is not None else DEFAULT_WARMUP,
             seed=seed,
             cfg=cfg,
             sample=tuple(sample) if sample else None,
@@ -434,7 +389,7 @@ class SimSpec:
 
     @property
     def key(self) -> tuple:
-        """Stable memo key (shared with the factory-based :func:`run_one`)."""
+        """Stable memo/store key (see :func:`_spec_key`)."""
         return _spec_key(
             self.workload, self.machine_key, self.instructions, self.warmup,
             self.seed, self.cfg, self.sample, self.mem,
@@ -450,12 +405,7 @@ def _cache_id(key: tuple) -> str:
     return content_address(key, CACHE_VERSION)
 
 
-# -- the default session and its store ---------------------------------------
-#
-# The service layer (repro.service) is the real engine; these facades keep
-# one process-wide SimService whose store follows the deprecated
-# REPRO_CACHE/REPRO_CACHE_DIR environment variables, so legacy callers
-# (and the existing test/CI surface) see unchanged behaviour.
+# -- the default session -----------------------------------------------------
 
 _default_session = None
 
@@ -463,56 +413,15 @@ _default_session = None
 def default_session():
     """The process-wide :class:`~repro.service.session.SimService`.
 
-    Shares this module's memo (``_cache``) and rebinds its store whenever
-    the deprecated cache environment variables change, so the historical
-    env semantics keep working verbatim on top of the explicit
-    :class:`~repro.service.store.CacheConfig` API.
+    Built once, over this module's memo (``_cache``) and the default
+    ``CacheConfig()`` store; the facades use it when ``session=None``.
     """
     global _default_session
-    from repro.service.session import SimService
-
-    env = CacheConfig.from_env()
     if _default_session is None:
-        _default_session = SimService(cache=env, memo=_cache)
-        _default_session.standup()
-    elif _default_session.cache_config != env:
-        _default_session.rebind_store(env)
+        from repro.service.session import SimService
+
+        _default_session = SimService(memo=_cache).standup()
     return _default_session
-
-
-def cache_dir() -> str | None:
-    """Directory of the on-disk result cache, or ``None`` when disabled.
-
-    Deprecated env mapping (see :meth:`CacheConfig.from_env`):
-    ``REPRO_CACHE=0`` disables it; ``REPRO_CACHE_DIR`` overrides the
-    default location (``~/.cache/samie-repro``).
-    """
-    return CacheConfig.from_env().resolved_dir()
-
-
-def _disk_path(key: tuple) -> str | None:
-    return default_session().store.path_for(key)
-
-
-def _disk_load(key: tuple) -> SimResult | None:
-    return default_session().store.get(key)
-
-
-def _disk_store(key: tuple, result: SimResult) -> None:
-    default_session().store.put(key, result)
-
-
-def clear_disk_cache() -> CacheClearance:
-    """Remove every entry of the default session's result store.
-
-    Returns a :class:`~repro.service.store.CacheClearance` reporting how
-    many entries were removed and how many of them were stale
-    (version-mismatched or corrupt).  Stale entries are also reclaimed
-    incrementally whenever a lookup touches them; this reports whatever
-    was still left.  Prefer ``repro cache clear`` (or
-    ``store.clear()`` on an explicit session) in new code.
-    """
-    return default_session().store.clear()
 
 
 # -- execution ---------------------------------------------------------------
@@ -592,7 +501,7 @@ def run_many(
 ) -> list[SimResult]:
     """Run a batch of specs, results in spec order.
 
-    Thin facade over :meth:`SimService.run_many` on the default session
+    Thin facade over :meth:`SimService.run_many` on :func:`default_session`
     (pass ``session=`` -- a :class:`~repro.service.session.SimService`
     or a remote :class:`~repro.service.client.ServiceClient` -- to
     target another one).  Each spec is served from the session memo,
@@ -630,79 +539,6 @@ def sweep(
     specs = [SimSpec.make(w, m, instructions, warmup, seed, mem=mem) for w, m in pairs]
     results = run_many(specs, jobs=jobs, session=session)
     return {(w, m[0]): r for (w, m), r in zip(pairs, results)}
-
-
-# -- legacy factory-based entry points ---------------------------------------
-
-def conventional_baseline() -> BaseLSQ:
-    """Paper baseline: 128-entry fully-associative LSQ."""
-    return build_lsq(MACHINE_CONV128[1])
-
-
-def unbounded_lsq() -> BaseLSQ:
-    """Figure 1 reference machine: LSQ of unbounded size."""
-    return build_lsq(MACHINE_UNBOUNDED[1])
-
-
-def samie_default() -> BaseLSQ:
-    """Paper Table 3 SAMIE configuration."""
-    return build_lsq(MACHINE_SAMIE[1])
-
-
-def samie_unbounded_shared(banks: int = 64, entries: int = 2) -> Callable[[], BaseLSQ]:
-    """SAMIE with an unbounded SharedLSQ (sizing studies, Figures 3-4)."""
-    spec = machine_samie_unbounded_shared(banks, entries)[1]
-
-    def factory() -> BaseLSQ:
-        return build_lsq(spec)
-
-    return factory
-
-
-def arb_machine(banks: int, addresses: int, max_inflight: int = 128) -> Callable[[], BaseLSQ]:
-    """ARB with the given geometry (Figure 1 sweep)."""
-    spec = machine_arb(banks, addresses, max_inflight)[1]
-
-    def factory() -> BaseLSQ:
-        return build_lsq(spec)
-
-    return factory
-
-
-def run_one(
-    workload: str,
-    lsq_factory: Callable[[], BaseLSQ],
-    machine_key: str,
-    instructions: int | None = None,
-    warmup: int | None = None,
-    seed: int = 1,
-    cfg: ProcessorConfig | None = None,
-) -> SimResult:
-    """Simulate one workload on one machine, memoised by ``machine_key``.
-
-    Serial, factory-based compatibility shim over the spec engine: it
-    shares the memo and disk cache with :func:`run_many` through the same
-    stable key, so mixed factory/spec sessions never recompute a point.
-    ``machine_key`` must uniquely name the machine the factory builds.
-    """
-    if not has_workload(workload):
-        raise UnknownWorkloadError(f"unknown workload {workload!r}")
-    env_n, env_w = current_scale()
-    n = instructions if instructions is not None else env_n
-    w = warmup if warmup is not None else env_w
-    # cfg is part of the key: two runs of the same machine under different
-    # processor configs (e.g. the fast-way ablation) must not collide
-    key = _spec_key(workload, machine_key, n, w, seed, cfg)
-    if key not in _cache:
-        hit = _disk_load(key)
-        if hit is not None:
-            _cache[key] = hit
-        else:
-            pipe = build_processor(lsq_factory(), cfg)
-            pipe.attach_trace(make_trace(workload, seed))
-            _cache[key] = pipe.run(n, warmup=w)
-            _disk_store(key, _cache[key])
-    return _cache[key]
 
 
 def run_pair(

@@ -33,16 +33,18 @@ PAPER_DELAYS = {
 }
 
 
-def compute(jobs: int | None = 1, mem: tuple | dict | None = None,
+def compute(instructions: int | None = None, warmup: int | None = None,
+            jobs: int | None = 1, mem: tuple | dict | None = None,
             session=None) -> FigureResult:
     """Regenerate Table 1 (model vs paper, plus improvement columns).
 
-    ``jobs``, ``mem`` and ``session`` are accepted for driver-interface
-    uniformity (``repro all --jobs N --mem ...`` calls every driver the
-    same way) and ignored: the CACTI model is closed-form, no simulation
-    to fan out and no simulated memory hierarchy to override.
+    ``instructions``, ``warmup``, ``jobs``, ``mem`` and ``session`` are
+    accepted for driver-interface uniformity (``repro all --jobs N
+    --instructions N ...`` calls every driver the same way) and ignored:
+    the CACTI model is closed-form, no simulation to scale or fan out
+    and no simulated memory hierarchy to override.
     """
-    del jobs, mem, session
+    del instructions, warmup, jobs, mem, session
     rows = []
     for size, assoc, ports, paper_conv, paper_known in PAPER_TABLE1:
         conv = cache_access_time(size, assoc, 32, ports, way_known=False)

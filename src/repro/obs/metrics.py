@@ -83,18 +83,6 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    def set_total(self, value: float) -> None:
-        """Jump the counter to an externally maintained running total.
-
-        Exists for the ``ServiceStats`` property facade, whose call
-        sites historically wrote ``stats.field += n``; the total must
-        never move backwards.
-        """
-        with self._lock:
-            if value < self._value:
-                raise ValueError(f"counter {self.name} cannot decrease")
-            self._value = value
-
     def samples(self):
         yield (self.name, self.labels, self._value)
 
@@ -308,9 +296,6 @@ class NullMetric:
         pass
 
     def set(self, value: float) -> None:
-        pass
-
-    def set_total(self, value: float) -> None:
         pass
 
     def observe(self, value: float) -> None:

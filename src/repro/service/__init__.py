@@ -4,21 +4,20 @@ Layered, bottom up:
 
 * :mod:`repro.service.store` -- content-addressed result stores behind
   the ``ResultStore`` interface (``LocalDirStore``, ``MemoryStore``,
-  ``NullStore``) plus the explicit :class:`CacheConfig` that replaces
-  the old env-var-only cache configuration.
-* :mod:`repro.service.session` -- :class:`SimService` (alias
-  :class:`SweepSession`): store + memo + sharded worker pool with
-  explicit lifecycle phases, in-flight dedup and admission control.
+  ``NullStore``) plus :class:`CacheConfig`, the one way to say which
+  store a session uses.
+* :mod:`repro.service.session` -- :class:`SimService`: store + memo +
+  sharded worker pool with explicit lifecycle phases, in-flight dedup
+  and admission control.
 * :mod:`repro.service.wire` -- the JSON wire format for ``SimSpec``.
 * :mod:`repro.service.httpapi` / :mod:`repro.service.client` -- the
   stdlib HTTP/JSON front end (``repro serve``) and its client
   (``repro submit``; ``ServiceClient`` is session-shaped, so drivers
   accept it via their ``session=`` argument).
 
-The legacy ``repro.experiments.runner`` entry points
-(``run_spec``/``run_many``/``sweep``/...) are thin facades over a
-default session and stay bit-identical; see that module's docstring for
-the migration map.
+The ``repro.experiments.runner`` entry points (``run_many``/``sweep``/
+``suite_pairs``/...) are thin facades over a session: the one passed as
+``session=``, else the runner's default session over ``CacheConfig()``.
 
 Submodules import lazily (PEP 562) so ``repro.experiments.runner`` can
 import :mod:`repro.service.store` without dragging in the HTTP stack.
@@ -43,8 +42,6 @@ _EXPORTS = {
     "ServiceError": "repro.service.session",
     "ServiceStats": "repro.service.session",
     "SimService": "repro.service.session",
-    "SweepSession": "repro.service.session",
-    "make_session": "repro.service.session",
     "ServiceHTTPServer": "repro.service.httpapi",
     "serve": "repro.service.httpapi",
     "ServiceClient": "repro.service.client",

@@ -157,12 +157,12 @@ def _monotonic() -> float:
 class ServiceStats:
     """Monotonic admission/dedup counters (the HTTP ``/v1/stats`` body).
 
-    Each field is a property over a :class:`~repro.obs.metrics.Counter`
-    on the service's :class:`~repro.obs.metrics.MetricsRegistry` -- the
-    same objects ``/v1/metrics`` renders, so the JSON stats endpoint and
-    the Prometheus endpoint are *defined once* and cannot drift.  The
-    historical mutation idiom (``stats.simulated += 1``) keeps working:
-    the property setter forwards the new running total to the counter.
+    Each field is a :class:`~repro.obs.metrics.Counter` on the service's
+    :class:`~repro.obs.metrics.MetricsRegistry` -- the same objects
+    ``/v1/metrics`` renders, so the JSON stats endpoint and the
+    Prometheus endpoint are *defined once* and cannot drift.  Write
+    sites call ``stats.<field>.inc(n)``; :meth:`snapshot` is the one
+    read API.
     """
 
     #: field -> (metric name, help); declaration order = snapshot order
@@ -187,47 +187,30 @@ class ServiceStats:
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            fname: self.registry.counter(mname, mhelp)
-            for fname, (mname, mhelp) in self.FIELDS.items()
-        }
+        for fname, (mname, mhelp) in self.FIELDS.items():
+            setattr(self, fname, self.registry.counter(mname, mhelp))
 
     def snapshot(self) -> dict:
-        d = {fname: int(c.value) for fname, c in self._counters.items()}
+        d = {fname: int(getattr(self, fname).value) for fname in self.FIELDS}
         # one headline number for "how many submissions cost nothing"
         d["deduplicated"] = d["dedup_inflight"] + d["dedup_batch"]
         return d
-
-
-def _stats_property(fname: str) -> property:
-    def _get(self) -> int:
-        return int(self._counters[fname].value)
-
-    def _set(self, total: int) -> None:
-        # `stats.field += n` reads then assigns the new running total
-        self._counters[fname].set_total(total)
-
-    return property(_get, _set)
-
-
-for _fname in ServiceStats.FIELDS:
-    setattr(ServiceStats, _fname, _stats_property(_fname))
-del _fname
 
 
 class SimService:
     """A simulation session: store + memo + sharded worker pool.
 
     ``store``/``cache`` configure the result store (pass at most one;
-    the default is :meth:`CacheConfig.from_env`, the deprecated env-var
-    mapping).  ``jobs=N`` keeps N standing worker shards from
-    :meth:`standup` until :meth:`teardown`; ``jobs=None`` (the library
-    default) defers parallelism to each :meth:`collect`/:meth:`run_many`
-    call.  ``backend`` picks the shard executor: ``"process"`` (real
-    parallelism, the default), ``"thread"`` or ``"inline"``.
+    the default is ``CacheConfig()``, the local store under
+    ``~/.cache/samie-repro``).  ``jobs=N`` keeps N standing worker
+    shards from :meth:`standup` until :meth:`teardown`; ``jobs=None``
+    (the library default) defers parallelism to each
+    :meth:`collect`/:meth:`run_many` call.  ``backend`` picks the shard
+    executor: ``"process"`` (real parallelism, the default),
+    ``"thread"`` or ``"inline"``.
     ``max_pending`` bounds the queued+running job count (admission
     control); ``memo`` lets a caller share an existing memo dict (the
-    legacy facades pass the runner's module-level memo).
+    runner's default session passes its module-level memo).
     """
 
     def __init__(
@@ -244,11 +227,8 @@ class SimService:
             raise ValueError("pass either a store or a CacheConfig, not both")
         if backend not in ("process", "thread", "inline"):
             raise ValueError(f"unknown worker backend {backend!r}")
-        self.cache_config = cache if store is None else None
         if store is None:
-            store = build_store(cache if cache is not None else CacheConfig.from_env())
-            if cache is None:
-                self.cache_config = CacheConfig.from_env()
+            store = build_store(cache if cache is not None else CacheConfig())
         self.jobs = jobs
         self.backend = backend
         self.max_pending = max_pending
@@ -402,12 +382,12 @@ class SimService:
                 jobs = self._admit_locked(specs, keys, batch_id)
             batch = Batch(batch_id=batch_id, jobs=jobs)
             self._batches[batch.batch_id] = batch
-            self.stats.batches += 1
+            self.stats.batches.inc()
         return batch
 
     def _admit_locked(self, specs, keys, batch_id: str | None = None) -> list[Job]:
         stats = self.stats
-        stats.submitted += len(specs)
+        stats.submitted.inc(len(specs))
         # resolution pass: classify every spec WITHOUT mutating any state,
         # so an admission refusal below rejects the batch atomically
         first_kind: dict[tuple, str] = {}
@@ -433,7 +413,7 @@ class SimService:
                 resolution.append(kind)
         fresh = [k for k, kind in first_kind.items() if kind == "new"]
         if fresh and self.phase == "analysis":
-            stats.rejected += len(specs)
+            stats.rejected.inc(len(specs))
             spec = specs[keys.index(fresh[0])]
             raise AdmissionError(
                 "analysis phase is read-only: "
@@ -442,7 +422,7 @@ class SimService:
         if self.max_pending is not None:
             live = sum(1 for j in self._inflight.values() if not j.done())
             if live + len(fresh) > self.max_pending:
-                stats.rejected += len(specs)
+                stats.rejected.inc(len(specs))
                 raise AdmissionError(
                     f"admission refused: {len(fresh)} new jobs would exceed "
                     f"max_pending={self.max_pending} ({live} in flight)"
@@ -454,17 +434,17 @@ class SimService:
         for spec, key, kind in zip(specs, keys, resolution):
             if kind == "dup":
                 job = batch_jobs[key]
-                stats.dedup_batch += 1
+                stats.dedup_batch.inc()
             elif kind == "memo":
                 job = self._hit_job(spec, key, self._memo[key], "memo")
-                stats.memo_hits += 1
+                stats.memo_hits.inc()
             elif kind == "store":
                 self._memo[key] = store_hits[key]
                 job = self._hit_job(spec, key, store_hits[key], "store")
-                stats.store_hits += 1
+                stats.store_hits.inc()
             elif kind == "inflight":
                 job = self._inflight[key]
-                stats.dedup_inflight += 1
+                stats.dedup_inflight.inc()
             else:
                 job = Job(spec=spec, key=key, cache_id=spec.cache_id,
                           batch_id=batch_id)
@@ -498,25 +478,31 @@ class SimService:
         return {"run": job.cache_id[:12], "batch": job.batch_id,
                 "shard": shard_idx}
 
-    def _schedule_locked(self, job: Job) -> None:
-        job._claimed = True
+    def _start(self, job: Job) -> None:
         job.state = "running"
         job._t0 = _monotonic()
-        self.stats.simulated += 1
-        shard_idx = int(job.cache_id[:8], 16) % len(self._shards)
-        shard = self._shards[shard_idx]
+        self.stats.simulated.inc()
+
+    def _dispatch(self, job: Job, shards: list[Executor]):
+        """Start ``job`` on its content-addressed shard; returns the future.
+
+        The one submit path for standing and ephemeral shards alike.  The
+        worker bodies look ``run_spec`` up at call time, so thread shards
+        see a monkeypatched ``runner.run_spec`` too.
+        """
+        self._start(job)
+        shard_idx = int(job.cache_id[:8], 16) % len(shards)
         with _spans.span("service.dispatch", run=job.cache_id[:12],
                          shard=shard_idx):
             ctx = self._worker_ctx(job, shard_idx)
-            if self.backend == "thread":
-                future = shard.submit(
-                    lambda spec=job.spec, c=ctx:
-                    _runner()._pool_worker_traced(spec, c) if c is not None
-                    else _runner().run_spec(spec))
-            elif ctx is not None:
-                future = shard.submit(_runner()._pool_worker_traced, job.spec, ctx)
-            else:
-                future = shard.submit(_runner()._pool_worker, job.spec)
+            runner = _runner()
+            if ctx is not None:
+                return shards[shard_idx].submit(runner._pool_worker_traced, job.spec, ctx)
+            return shards[shard_idx].submit(runner._pool_worker, job.spec)
+
+    def _schedule_locked(self, job: Job) -> None:
+        job._claimed = True
+        future = self._dispatch(job, self._shards)
         future.add_done_callback(lambda f, job=job: self._on_future(job, f))
 
     @staticmethod
@@ -557,15 +543,13 @@ class SimService:
         job.exception = exc
         job.error = f"{type(exc).__name__}: {exc}"
         job.state = "failed"
-        self.stats.failed += 1
+        self.stats.failed.inc()
         self._inflight.pop(job.key, None)  # a later submit may retry
         self._observe_job(job)
         job._event.set()
 
     def _run_inline(self, job: Job) -> None:
-        job.state = "running"
-        job._t0 = _monotonic()
-        self.stats.simulated += 1
+        self._start(job)
         try:
             with _spans.span("job.simulate", spec=job.cache_id[:12],
                              workload=job.spec.workload):
@@ -607,31 +591,9 @@ class SimService:
         else:
             shards = [self._make_executor() for _ in range(min(n, len(mine)))]
             try:
-                futures = []
-                for job in mine:
-                    job.state = "running"
-                    job._t0 = _monotonic()
-                    self.stats.simulated += 1
-                    shard_idx = int(job.cache_id[:8], 16) % len(shards)
-                    shard = shards[shard_idx]
-                    ctx = self._worker_ctx(job, shard_idx)
-                    if self.backend == "thread":
-                        futures.append(shard.submit(
-                            lambda spec=job.spec, c=ctx:
-                            _runner()._pool_worker_traced(spec, c)
-                            if c is not None else _runner().run_spec(spec)))
-                    elif ctx is not None:
-                        futures.append(shard.submit(
-                            runner._pool_worker_traced, job.spec, ctx))
-                    else:
-                        futures.append(shard.submit(runner._pool_worker, job.spec))
+                futures = [self._dispatch(job, shards) for job in mine]
                 for job, future in zip(mine, futures):
-                    exc = future.exception()
-                    if exc is not None:
-                        with self._lock:
-                            self._fail(job, exc)
-                    else:
-                        self._finish(job, self._unpack_worker(future.result()))
+                    self._on_future(job, future)
             finally:
                 for ex in shards:
                     ex.shutdown(wait=True)
@@ -663,12 +625,6 @@ class SimService:
                 return job.result
         return self.store.get_by_address(address)
 
-    def rebind_store(self, cache: CacheConfig) -> None:
-        """Swap the result store (the env-following default session)."""
-        with self._lock:
-            self.store = InstrumentedStore(build_store(cache), self.registry)
-            self.cache_config = cache
-
     def describe(self) -> dict:
         """Stats + store + lifecycle snapshot (the HTTP ``/v1/stats``)."""
         with self._lock:
@@ -683,22 +639,3 @@ class SimService:
                 "store": dict(info._asdict()),
             }
 
-
-#: alias: the batch-oriented name used by driver code and the docs
-SweepSession = SimService
-
-
-def _default_memo() -> dict:
-    # the legacy facades share the runner's module-level memo so mixed
-    # facade/session code never recomputes a point
-    return _runner()._cache
-
-
-def make_session(
-    cache: CacheConfig | None = None,
-    jobs: int | None = None,
-    backend: str = "process",
-    max_pending: int | None = None,
-) -> SimService:
-    """Convenience constructor used by the CLI ``serve`` verb."""
-    return SimService(cache=cache, jobs=jobs, backend=backend, max_pending=max_pending)

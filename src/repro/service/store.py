@@ -21,11 +21,10 @@ address*).  This module owns everything below that address:
 * :class:`NullStore` -- caching disabled; every lookup misses.
 
 Configuration is explicit: build a :class:`CacheConfig` and hand it (or a
-ready store) to :class:`~repro.service.session.SimService`.  The
-``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` environment variables survive as a
-**deprecated fallback** read by :meth:`CacheConfig.from_env` -- they keep
-existing scripts and CI working but new code should pass a
-``CacheConfig``; the env mapping is documented there and in ROADMAP.md.
+ready store) to :class:`~repro.service.session.SimService`; a session
+given neither uses ``CacheConfig()``, the local store under
+``~/.cache/samie-repro``.  No ``REPRO_*`` environment variable selects
+or relocates a store.
 """
 
 from __future__ import annotations
@@ -106,23 +105,10 @@ class CacheConfig:
     the default), ``"memory"`` (process-lifetime dict) or ``"off"`` (no
     result persistence).  ``directory=None`` means the default location,
     ``~/.cache/samie-repro``.
-
-    **Deprecation path for the environment variables.**  Before the
-    service layer, the only cache configuration was ``REPRO_CACHE=0``
-    (disable) and ``REPRO_CACHE_DIR`` (relocate).  Those variables now
-    merely *map onto* a ``CacheConfig`` via :meth:`from_env`, which the
-    legacy ``run_spec``/``run_many`` facades consult so existing scripts
-    and CI keep working.  New code should construct a ``CacheConfig``
-    (or a store) and pass it to ``SimService`` explicitly; the env vars
-    are frozen at their current semantics and will not grow new values.
     """
 
     backend: str = "local"
     directory: str | None = None
-
-    #: env var -> CacheConfig mapping (the deprecated fallback)
-    ENV_DISABLE = "REPRO_CACHE"
-    ENV_DIR = "REPRO_CACHE_DIR"
 
     def __post_init__(self) -> None:
         if self.backend not in ("local", "memory", "off"):
@@ -130,18 +116,6 @@ class CacheConfig:
                 f"unknown cache backend {self.backend!r}; "
                 "choose local, memory or off"
             )
-
-    @classmethod
-    def from_env(cls) -> "CacheConfig":
-        """Deprecated fallback: map ``REPRO_CACHE``/``REPRO_CACHE_DIR``.
-
-        ``REPRO_CACHE`` in ``("0", "off", "no", "")`` selects the
-        ``off`` backend; otherwise ``local`` rooted at
-        ``REPRO_CACHE_DIR`` (or the default location when unset).
-        """
-        if os.environ.get(cls.ENV_DISABLE, "1") in ("0", "off", "no", ""):
-            return cls(backend="off")
-        return cls(backend="local", directory=os.environ.get(cls.ENV_DIR) or None)
 
     def resolved_dir(self) -> str | None:
         """The directory a ``local`` store would use (``None`` otherwise)."""
@@ -472,23 +446,15 @@ class InstrumentedStore(ResultStore):
 
     def __init__(self, inner: ResultStore, registry) -> None:
         self._inner = inner
-
-        def metric(kind: str, name: str, help: str, **kw):
-            # a rebound store re-instruments against the same registry;
-            # the replacement proxy must adopt the existing metrics
-            got = registry.get(name)
-            return got if got is not None else getattr(registry, kind)(
-                name, help, **kw)
-
-        self._gets = metric(
-            "counter", "repro_store_get_total", "Store lookups by outcome",
+        self._gets = registry.counter(
+            "repro_store_get_total", "Store lookups by outcome",
             labelnames=("outcome",))
-        self._puts = metric(
-            "counter", "repro_store_put_total", "Results written to the store")
-        self._get_seconds = metric(
-            "histogram", "repro_store_get_seconds", "Store lookup latency")
-        self._put_seconds = metric(
-            "histogram", "repro_store_put_seconds", "Store write latency")
+        self._puts = registry.counter(
+            "repro_store_put_total", "Results written to the store")
+        self._get_seconds = registry.histogram(
+            "repro_store_get_seconds", "Store lookup latency")
+        self._put_seconds = registry.histogram(
+            "repro_store_put_seconds", "Store write latency")
 
     def unwrap(self) -> ResultStore:
         """The store behind the proxy (for type checks and tests)."""

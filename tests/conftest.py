@@ -13,20 +13,21 @@ from repro.isa.uop import UOp
 
 
 @pytest.fixture(autouse=True, scope="session")
-def _isolated_result_cache(tmp_path_factory):
-    """Point the runner's on-disk result cache at a per-session tmp dir.
+def _hermetic_home(tmp_path_factory):
+    """Point ``HOME`` at a per-session tmp dir and clear the retired variables.
 
-    Keeps test runs hermetic (no reads from, or writes to, the user's
-    ``~/.cache/samie-repro``) while still exercising the disk-cache code
-    paths at the tests' tiny scales.
+    The default result store lives under ``~/.cache/samie-repro``, so a
+    private home keeps test runs hermetic (no reads from, or writes to,
+    the user's store) while still exercising the default store at the
+    tests' tiny scales.  The CLI refuses to run while a retired scale or
+    cache variable is set, so a shell that still exports one must not
+    fail the suite.
     """
-    old = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("result-cache"))
-    yield
-    if old is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = old
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HOME", str(tmp_path_factory.mktemp("home")))
+        for name in ("REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_INSTR", "REPRO_WARMUP"):
+            mp.delenv(name, raising=False)
+        yield
 
 
 def pytest_configure(config):

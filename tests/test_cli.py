@@ -68,27 +68,61 @@ class TestCLI:
         assert main(["workloads", "--verbose"]) == 0
         assert "scenario:" in capsys.readouterr().out
 
-    def test_run_many_workloads_with_jobs(self, capsys):
-        import os
-
-        before = os.environ.get("REPRO_CACHE")
+    def test_run_many_workloads_with_jobs(self, capsys, tmp_path):
+        store = tmp_path / "store"
         rc = main(["run", "gzip", "mcf", "--instructions", "500", "--warmup", "100",
-                   "--jobs", "2", "--no-cache"])
+                   "--jobs", "2", "--no-cache", "--cache-dir", str(store)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "workload=gzip" in out and "workload=mcf" in out
-        # --no-cache is scoped to the command, not leaked into the process
-        assert os.environ.get("REPRO_CACHE") == before
+        # --no-cache wins over --cache-dir: nothing is written to the store
+        assert not store.exists()
 
-    def test_figure_accepts_jobs(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_INSTR", "500")
-        monkeypatch.setenv("REPRO_WARMUP", "100")
-        from repro.experiments.runner import clear_cache, ensure_scale_coherent
-
-        ensure_scale_coherent()
-        assert main(["figure", "table1", "--jobs", "4"]) == 0
+    def test_figure_accepts_jobs(self, capsys):
+        assert main(["figure", "table1", "--jobs", "4",
+                     "--instructions", "500", "--warmup", "100"]) == 0
         assert "Cache access time" in capsys.readouterr().out
-        clear_cache()
+
+    @pytest.mark.parametrize("name,flag", [
+        ("REPRO_CACHE", "--no-cache"),
+        ("REPRO_CACHE_DIR", "--cache-dir"),
+        ("REPRO_INSTR", "--instructions"),
+        ("REPRO_WARMUP", "--warmup"),
+    ])
+    def test_retired_variable_fails_loudly(self, capsys, monkeypatch, name, flag):
+        # an old script must not silently run at the default scale or store
+        monkeypatch.setenv(name, "100000")
+        assert main(["figure", "table1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{name} is no longer read; pass {flag}")
+        assert captured.out == ""
+
+    def test_all_shares_one_sweep(self, capsys, monkeypatch):
+        from repro import cli
+        from repro.experiments import runner
+
+        calls = []
+        real = runner.run_spec
+        monkeypatch.setattr(runner, "run_spec", lambda s: calls.append(s) or real(s))
+        monkeypatch.setattr(cli, "EXPERIMENTS", ["figure5", "figure6"])
+        assert main(["all", "--no-cache", "--instructions", "300", "--warmup", "50"]) == 0
+        # 26 workloads x (conventional, SAMIE), simulated once for both figures
+        assert len(calls) == 52
+        assert {(s.instructions, s.warmup) for s in calls} == {(300, 50)}
+
+    def test_second_run_served_from_cache_dir(self, capsys, monkeypatch, tmp_path):
+        from repro.experiments import runner
+
+        argv = ["run", "gzip", "mcf", "--instructions", "300", "--warmup", "50",
+                "--cache-dir", str(tmp_path / "store")]
+        calls = []
+        real = runner.run_spec
+        monkeypatch.setattr(runner, "run_spec", lambda s: calls.append(s) or real(s))
+        assert main(argv) == 0
+        assert len(calls) == 2
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == []  # a new session, served entirely from the store
 
 
 class TestVerifyCLI:

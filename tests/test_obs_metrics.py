@@ -35,13 +35,6 @@ class TestCounter:
         with pytest.raises(ValueError, match="cannot decrease"):
             c.inc(-1)
 
-    def test_set_total_never_moves_backwards(self):
-        c = Counter("c")
-        c.set_total(10)
-        assert c.value == 10
-        with pytest.raises(ValueError, match="cannot decrease"):
-            c.set_total(9)
-
 
 class TestGauge:
     def test_set_inc_dec(self):

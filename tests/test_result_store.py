@@ -245,16 +245,6 @@ class TestCacheConfig:
         assert isinstance(local, LocalDirStore)
         assert local.directory == str(tmp_path)
 
-    def test_from_env_deprecated_fallback(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cfg = CacheConfig.from_env()
-        assert cfg == CacheConfig(backend="local", directory=str(tmp_path))
-        assert cfg.resolved_dir() == str(tmp_path)
-        for off in ("0", "off", "no", ""):
-            monkeypatch.setenv("REPRO_CACHE", off)
-            assert CacheConfig.from_env() == CacheConfig(backend="off")
-
     def test_resolved_dir_default_and_non_local(self):
         assert CacheConfig().resolved_dir().endswith("samie-repro")
         assert CacheConfig(backend="memory").resolved_dir() is None

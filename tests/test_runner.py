@@ -1,92 +1,27 @@
-"""Tests for the experiment runner machinery and calibration module."""
+"""Tests for the runner's canonical machines and the energy calibration module."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.energy.calibration import STRUCT_TARGETS, TABLE1_TARGETS, report, residuals
 from repro.energy.cacti import DEFAULT_PARAMS
-from repro.experiments.runner import (
-    arb_machine,
-    clear_cache,
-    conventional_baseline,
-    run_one,
-    samie_default,
-    samie_unbounded_shared,
-    unbounded_lsq,
-)
-from repro.lsq.arb import ARBLSQ
+from repro.experiments.runner import MACHINE_CONV128, MACHINE_SAMIE, build_lsq
 from repro.lsq.conventional import ConventionalLSQ
 from repro.lsq.samie import SamieLSQ
 
 
 class TestMachineFactories:
     def test_baseline_is_128(self):
-        lsq = conventional_baseline()
+        lsq = build_lsq(MACHINE_CONV128[1])
         assert isinstance(lsq, ConventionalLSQ)
         assert lsq.capacity == 128
 
-    def test_unbounded(self):
-        assert unbounded_lsq().capacity is None
-
     def test_samie_default_is_table3(self):
-        lsq = samie_default()
+        lsq = build_lsq(MACHINE_SAMIE[1])
         assert isinstance(lsq, SamieLSQ)
         cfg = lsq.cfg
         assert (cfg.banks, cfg.entries_per_bank, cfg.slots_per_entry) == (64, 2, 8)
         assert cfg.shared_entries == 8
         assert cfg.addr_buffer_slots == 64
-
-    def test_samie_unbounded_shared(self):
-        lsq = samie_unbounded_shared(32, 4)()
-        assert lsq.cfg.shared_entries is None
-        assert (lsq.cfg.banks, lsq.cfg.entries_per_bank) == (32, 4)
-
-    def test_arb_factory(self):
-        lsq = arb_machine(8, 16)()
-        assert isinstance(lsq, ARBLSQ)
-        assert (lsq.cfg.banks, lsq.cfg.addresses_per_bank) == (8, 16)
-
-
-class TestRunOne:
-    def test_unknown_workload_raises(self):
-        with pytest.raises(KeyError):
-            run_one("nonsense", conventional_baseline, "conv128", 100, 10)
-
-    def test_memoisation_key_includes_machine(self):
-        clear_cache()
-        a = run_one("gzip", conventional_baseline, "conv128", 800, 100)
-        b = run_one("gzip", samie_default, "samie", 800, 100)
-        assert a is not b
-        assert a is run_one("gzip", conventional_baseline, "conv128", 800, 100)
-        clear_cache()
-        c = run_one("gzip", conventional_baseline, "conv128", 800, 100)
-        assert c is not a
-
-    def test_memoisation_key_includes_cfg(self):
-        from repro.core.config import ProcessorConfig
-        from repro.mem.hierarchy import MemConfig
-
-        clear_cache()
-        base = run_one("gzip", samie_default, "samie", 400, 100)
-        fast = run_one("gzip", samie_default, "samie", 400, 100,
-                       cfg=ProcessorConfig(mem=MemConfig(fast_way_hit_latency=1)))
-        assert base is not fast
-
-    def test_env_scale_read_per_call(self, monkeypatch):
-        from repro.experiments import runner
-
-        clear_cache()
-        monkeypatch.setenv("REPRO_INSTR", "300")
-        monkeypatch.setenv("REPRO_WARMUP", "50")
-        runner.ensure_scale_coherent()
-        a = run_one("gzip", conventional_baseline, "conv128")
-        assert 300 <= a.instructions < 310  # commit-width overshoot only
-        monkeypatch.setenv("REPRO_INSTR", "500")
-        runner.ensure_scale_coherent()  # scale changed: memo dropped
-        b = run_one("gzip", conventional_baseline, "conv128")
-        assert 500 <= b.instructions < 510
-        clear_cache()
 
 
 class TestCalibration:

@@ -13,7 +13,6 @@ from repro.service.session import (
     PhaseError,
     ServiceError,
     SimService,
-    SweepSession,
 )
 from repro.service.store import CacheConfig, LocalDirStore, MemoryStore
 
@@ -21,10 +20,8 @@ SMALL = dict(instructions=400, warmup=100)
 
 
 @pytest.fixture(autouse=True)
-def _isolated_env(tmp_path, monkeypatch):
-    """Keep the env-following default session away from the real cache."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default-cache"))
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
+def _fresh_memo():
+    """Fresh in-process memo of the default session per test."""
     runner.clear_cache()
     yield
     runner.clear_cache()
@@ -83,7 +80,7 @@ class TestLifecycle:
         assert batch.results() == [cached]
         with pytest.raises(AdmissionError, match="read-only"):
             svc.submit([_spec("swim")])
-        assert svc.stats.rejected == 1
+        assert svc.stats.snapshot()["rejected"] == 1
         svc.teardown()
 
     def test_teardown_fails_leftover_queued_jobs(self):
@@ -105,8 +102,8 @@ class TestDedup:
         a, b, c = svc.run_many([spec, spec, spec])
         assert a is b is c
         assert len(calls) == 1
-        assert svc.stats.simulated == 1
-        assert svc.stats.dedup_batch == 2
+        assert svc.stats.snapshot()["simulated"] == 1
+        assert svc.stats.snapshot()["dedup_batch"] == 2
         svc.teardown()
 
     def test_memo_hit_on_second_batch(self):
@@ -115,8 +112,8 @@ class TestDedup:
         [first] = svc.run_many([spec])
         [second] = svc.run_many([spec])
         assert first is second
-        assert svc.stats.memo_hits == 1
-        assert svc.stats.simulated == 1
+        assert svc.stats.snapshot()["memo_hits"] == 1
+        assert svc.stats.snapshot()["simulated"] == 1
         svc.teardown()
 
     def test_thundering_herd_costs_one_simulation(self, monkeypatch):
@@ -148,15 +145,15 @@ class TestDedup:
         herd = [threading.Thread(target=submit_and_wait) for _ in range(6)]
         for t in herd:
             t.start()
-        while svc.stats.dedup_inflight < 6:
+        while svc.stats.snapshot()["dedup_inflight"] < 6:
             pass  # herd admitted (joined, not queued); nothing new scheduled
         release.set()
         for t in herd:
             t.join(10)
         assert first.wait(10)
         assert len(calls) == 1
-        assert svc.stats.simulated == 1
-        assert svc.stats.dedup_inflight == 6
+        assert svc.stats.snapshot()["simulated"] == 1
+        assert svc.stats.snapshot()["dedup_inflight"] == 6
         ref = first.jobs[0].result
         assert all(r is ref for r in herd_results)
         svc.teardown()
@@ -166,7 +163,7 @@ class TestDedup:
         first = SimService(cache=cache)
         specs = [_spec(), _spec("swim"), _spec(machine=MACHINE_CONV128)]
         results = first.run_many(specs)
-        assert first.stats.simulated == 3
+        assert first.stats.snapshot()["simulated"] == 3
         first.teardown()
         # a brand-new session over the same store: everything served warm
         second = SimService(cache=cache)
@@ -174,8 +171,8 @@ class TestDedup:
         assert [j.state for j in batch.jobs] == ["done"] * 3
         assert [j.source for j in batch.jobs] == ["store"] * 3
         assert second.collect(batch) == results
-        assert second.stats.simulated == 0
-        assert second.stats.store_hits == 3
+        assert second.stats.snapshot()["simulated"] == 0
+        assert second.stats.snapshot()["store_hits"] == 3
         second.teardown()
 
     def test_failed_job_can_be_retried(self, monkeypatch):
@@ -186,7 +183,7 @@ class TestDedup:
                             lambda s: (_ for _ in ()).throw(boom))
         with pytest.raises(RuntimeError, match="injected"):
             svc.run_many([spec])
-        assert svc.stats.failed == 1
+        assert svc.stats.snapshot()["failed"] == 1
         monkeypatch.undo()
         [result] = svc.run_many([spec])  # the failure was not memoised
         assert result.instructions >= SMALL["instructions"]
@@ -230,7 +227,7 @@ class TestAdmission:
         assert entered.wait(10)
         with pytest.raises(AdmissionError, match="max_pending"):
             svc.submit([_spec("swim"), _spec("ammp")])
-        assert svc.stats.rejected == 2
+        assert svc.stats.snapshot()["rejected"] == 2
         # the refusal is atomic: nothing from the refused batch is queued
         assert svc.pending() == 1
         release.set()
@@ -327,31 +324,25 @@ class TestExecutionModes:
 class TestFacades:
     """The legacy runner entry points are thin shims over a session."""
 
-    def test_run_many_defaults_to_env_following_session(self, monkeypatch, tmp_path):
+    def test_run_many_defaults_to_local_store(self):
         spec = _spec()
         runner.run_many([spec], jobs=1)
         store = runner.default_session().store
         # the session wraps its store in the instrumented proxy; the
         # configured backend sits one unwrap below
         assert isinstance(store.unwrap(), LocalDirStore)
+        assert store.directory == CacheConfig().resolved_dir()
         assert store.get(spec.key) is not None
-        # flipping the env rebinds the default session's store...
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        assert runner.default_session().store.backend == "off"
-        # ...and back
-        monkeypatch.delenv("REPRO_CACHE")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
-        assert runner.default_session().store.directory == str(tmp_path / "elsewhere")
 
     def test_explicit_session_kwarg(self):
-        default_before = runner.default_session().stats.simulated
+        default_before = runner.default_session().stats.snapshot()["simulated"]
         svc = _service()
         spec = _spec()
         [via_facade] = runner.run_many([spec], session=svc)
-        assert svc.stats.simulated == 1
+        assert svc.stats.snapshot()["simulated"] == 1
         assert svc.store.get(spec.key) == via_facade
         # the default session was never touched
-        assert runner.default_session().stats.simulated == default_before
+        assert runner.default_session().stats.snapshot()["simulated"] == default_before
         svc.teardown()
 
     def test_facade_and_session_share_the_memo(self):
@@ -360,6 +351,3 @@ class TestFacades:
         # the default session's memo IS runner._cache: no recompute either way
         [via_session] = runner.default_session().run_many([spec])
         assert direct is via_session
-
-    def test_sweep_session_alias(self):
-        assert SweepSession is SimService

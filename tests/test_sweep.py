@@ -1,4 +1,4 @@
-"""Tests for the parallel sweep engine (SimSpec, run_many, disk cache)."""
+"""Tests for the parallel sweep engine (SimSpec, run_many, result store)."""
 
 from __future__ import annotations
 
@@ -24,26 +24,39 @@ from repro.experiments.runner import (
     mem_spec,
     parse_mem_overrides,
     run_many,
-    run_one,
-    samie_default,
 )
 from repro.lsq.arb import ARBLSQ
 from repro.lsq.conventional import ConventionalLSQ
 from repro.lsq.samie import SamieLSQ
 from repro.mem.hierarchy import MemConfig
+from repro.service.session import SimService
+from repro.service.store import CacheConfig
 
 SMALL = dict(instructions=400, warmup=100)
 THREE = ["gzip", "swim", "ammp"]
 
 
 @pytest.fixture(autouse=True)
-def _fresh(tmp_path, monkeypatch):
-    """Fresh in-process memo and a private disk cache per test."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
+def _fresh():
+    """Fresh in-process memo of the default session per test."""
     clear_cache()
     yield
     clear_cache()
+
+
+@pytest.fixture
+def disk(tmp_path):
+    """New sessions over one private store directory.
+
+    Each call is a restart: an empty memo over the same store.  Tests
+    that count recomputations need a store no earlier test wrote to.
+    """
+    cache = CacheConfig(directory=str(tmp_path / "cache"))
+    return lambda: SimService(cache=cache)
+
+
+def _no_store():
+    return SimService(cache=CacheConfig(backend="off"))
 
 
 def _suite_specs(**kw):
@@ -86,12 +99,6 @@ class TestStableKey:
         assert config_token(None) == ""
         json.loads(config_token(a))  # canonical JSON, not repr()
 
-    def test_run_one_and_run_many_share_entries(self):
-        spec = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)
-        via_many = run_many([spec], jobs=1)[0]
-        via_one = run_one("gzip", samie_default, "samie", **SMALL)
-        assert via_one is via_many
-
     def test_cfg_distinguishes_entries(self):
         cfg = ProcessorConfig(mem=MemConfig(fast_way_hit_latency=1))
         plain = run_many([SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)], jobs=1)[0]
@@ -100,12 +107,10 @@ class TestStableKey:
 
 
 class TestRunMany:
-    def test_parallel_matches_serial(self, monkeypatch):
+    def test_parallel_matches_serial(self, disk):
         specs = _suite_specs()
-        parallel = run_many(specs, jobs=4)
-        clear_cache()
-        monkeypatch.setenv("REPRO_CACHE", "0")  # force real recomputation
-        serial = run_many(specs, jobs=1)
+        parallel = run_many(specs, jobs=4, session=disk())
+        serial = run_many(specs, jobs=1, session=_no_store())  # real recomputation
         assert parallel == serial  # SimResult dataclass equality, field by field
         assert [r.lsq_name for r in serial[1::2]] == ["samie"] * len(THREE)
 
@@ -114,7 +119,7 @@ class TestRunMany:
         real = runner.run_spec
         monkeypatch.setattr(runner, "run_spec", lambda s: calls.append(s) or real(s))
         spec = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)
-        a, b = run_many([spec, spec], jobs=1)
+        a, b = run_many([spec, spec], jobs=1, session=_no_store())
         assert a is b
         assert len(calls) == 1
 
@@ -142,80 +147,81 @@ class TestRunMany:
 
 
 class TestDiskCache:
-    def test_round_trip_without_recompute(self, monkeypatch):
+    def test_round_trip_without_recompute(self, monkeypatch, disk):
         specs = _suite_specs()
-        first = run_many(specs, jobs=1)
-        clear_cache()
+        first = run_many(specs, jobs=1, session=disk())
         # a recompute would now blow up: only the disk can serve these
         monkeypatch.setattr(
             runner, "run_spec", lambda s: (_ for _ in ()).throw(AssertionError("recomputed"))
         )
-        second = run_many(specs, jobs=1)
+        second = run_many(specs, jobs=1, session=disk())
         assert first == second
         assert all(a is not b for a, b in zip(first, second))
 
-    def test_invalidates_on_scale_change(self, monkeypatch):
+    def test_invalidates_on_scale_change(self, monkeypatch, disk):
         spec_small = SimSpec.make("gzip", MACHINE_SAMIE, 400, 100)
-        run_many([spec_small], jobs=1)
-        clear_cache()
+        run_many([spec_small], jobs=1, session=disk())
         calls = []
         real = runner.run_spec
         monkeypatch.setattr(runner, "run_spec", lambda s: calls.append(s) or real(s))
-        bigger = run_many([SimSpec.make("gzip", MACHINE_SAMIE, 600, 100)], jobs=1)[0]
+        bigger = run_many([SimSpec.make("gzip", MACHINE_SAMIE, 600, 100)], jobs=1,
+                          session=disk())[0]
         assert len(calls) == 1  # different scale: disk entry must not be served
         assert 600 <= bigger.instructions < 610
 
-    def test_corrupt_entry_recomputed(self):
+    def test_corrupt_entry_recomputed(self, disk):
         spec = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)
-        first = run_many([spec], jobs=1)[0]
-        path = runner._disk_path(spec.key)
+        session = disk()
+        first = run_many([spec], jobs=1, session=session)[0]
+        path = session.store.path_for(spec.key)
         assert path is not None and os.path.exists(path)
         with open(path, "w") as fh:
             fh.write("{not json")
-        clear_cache()
-        again = run_many([spec], jobs=1)[0]
+        again = run_many([spec], jobs=1, session=disk())[0]
         assert again == first
 
-    def test_disabled_via_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        assert runner.cache_dir() is None
+    def test_off_backend_writes_nothing(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("HOME", str(tmp_path))  # the default store's home
+        session = _no_store()
         spec = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)
-        run_many([spec], jobs=1)
-        monkeypatch.delenv("REPRO_CACHE")
-        assert not os.path.exists(runner._disk_path(spec.key))
+        assert session.store.path_for(spec.key) is None
+        run_many([spec], jobs=1, session=session)
+        assert os.listdir(tmp_path) == []
 
-    def test_clear_disk_cache(self):
-        run_many([SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)], jobs=1)
-        assert runner.clear_disk_cache() == (1, 0, 0)  # one entry, no stale/tmp
-        assert runner.clear_disk_cache() == (0, 0, 0)
+    def test_store_clear(self, disk):
+        session = disk()
+        run_many([SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)], jobs=1, session=session)
+        assert session.store.clear() == (1, 0, 0)  # one entry, no stale/tmp
+        assert session.store.clear() == (0, 0, 0)
 
-    def test_stale_version_entry_deleted_on_load(self):
+    def test_stale_version_entry_deleted_on_load(self, disk):
         spec = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)
-        first = run_many([spec], jobs=1)[0]
-        path = runner._disk_path(spec.key)
+        session = disk()
+        first = run_many([spec], jobs=1, session=session)[0]
+        path = session.store.path_for(spec.key)
         with open(path) as fh:
             doc = json.load(fh)
         doc["version"] = runner.CACHE_VERSION - 1
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        clear_cache()
-        again = run_many([spec], jobs=1)[0]  # stale entry deleted, recomputed
+        again = run_many([spec], jobs=1, session=disk())[0]  # stale entry deleted, recomputed
         assert again == first
         with open(path) as fh:
             assert json.load(fh)["version"] == runner.CACHE_VERSION
 
-    def test_clear_disk_cache_reports_stale_entries(self):
+    def test_store_clear_reports_stale_entries(self, disk):
         spec = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)
-        run_many([spec], jobs=1)
-        path = runner._disk_path(spec.key)
+        session = disk()
+        run_many([spec], jobs=1, session=session)
+        path = session.store.path_for(spec.key)
         with open(path) as fh:
             doc = json.load(fh)
         doc["version"] = runner.CACHE_VERSION - 1
         with open(path, "w") as fh:
             json.dump(doc, fh)
         # a second, current-version entry alongside the stale one
-        run_many([SimSpec.make("swim", MACHINE_SAMIE, **SMALL)], jobs=1)
-        cleared = runner.clear_disk_cache()
+        run_many([SimSpec.make("swim", MACHINE_SAMIE, **SMALL)], jobs=1, session=session)
+        cleared = session.store.clear()
         assert cleared.removed == 2
         assert cleared.stale == 1
 
@@ -249,15 +255,14 @@ class TestMemConfigKeys:
         b = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL, mem=mem_spec(mshr_entries=8))
         assert a.key != b.key
 
-    def test_mem_override_misses_disk_cache(self, monkeypatch):
+    def test_mem_override_misses_disk_cache(self, monkeypatch, disk):
         base = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)
-        run_many([base], jobs=1)
-        clear_cache()
+        run_many([base], jobs=1, session=disk())
         calls = []
         real = runner.run_spec
         monkeypatch.setattr(runner, "run_spec", lambda s: calls.append(s) or real(s))
         spec = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL, mem=mem_spec(mshr_entries=4))
-        run_many([spec], jobs=1)
+        run_many([spec], jobs=1, session=disk())
         assert len(calls) == 1  # override must not be served the base entry
 
     def test_unknown_mem_field_rejected(self):
@@ -315,43 +320,23 @@ class TestMemConfigKeys:
                                  mem=mem_spec(l1d_sets=128, mshr_entries=4))
         assert via_tuple.key == spec.key
 
-    def test_cache_version_bump_evicts_old_entries(self, monkeypatch):
+    def test_cache_version_bump_evicts_old_entries(self, monkeypatch, disk):
         # persist an entry under the previous CACHE_VERSION and verify the
         # current engine recomputes instead of serving it
         spec = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)
         current = runner.CACHE_VERSION
         monkeypatch.setattr(runner, "CACHE_VERSION", current - 1)
-        old = run_many([spec], jobs=1)[0]
-        old_path = runner._disk_path(spec.key)
+        session = disk()
+        old = run_many([spec], jobs=1, session=session)[0]
+        old_path = session.store.path_for(spec.key)
         assert os.path.exists(old_path)
         monkeypatch.setattr(runner, "CACHE_VERSION", current)
-        clear_cache()
         calls = []
         real = runner.run_spec
         monkeypatch.setattr(runner, "run_spec", lambda s: calls.append(s) or real(s))
-        again = run_many([spec], jobs=1)[0]
+        session = disk()
+        again = run_many([spec], jobs=1, session=session)[0]
         assert len(calls) == 1  # the v(n-1) entry was not served
         assert again == old  # same simulation semantics either way
-        assert runner._disk_path(spec.key) != old_path  # distinct identity
+        assert session.store.path_for(spec.key) != old_path  # distinct identity
 
-
-class TestScaleCoherence:
-    def test_ensure_scale_coherent_still_evicts(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INSTR", "300")
-        monkeypatch.setenv("REPRO_WARMUP", "50")
-        runner.ensure_scale_coherent()
-        a = run_many([SimSpec.make("gzip", MACHINE_SAMIE)], jobs=1)[0]
-        assert (300, 50) == (runner.DEFAULT_INSTRUCTIONS, runner.DEFAULT_WARMUP)
-        monkeypatch.setenv("REPRO_INSTR", "500")
-        runner.ensure_scale_coherent()  # scale changed: memo dropped
-        assert not runner._cache
-        b = run_many([SimSpec.make("gzip", MACHINE_SAMIE)], jobs=1)[0]
-        assert 500 <= b.instructions < 510 and 300 <= a.instructions < 310
-
-    def test_default_scale_attributes_are_live(self, monkeypatch):
-        import repro.experiments as exp
-
-        monkeypatch.setenv("REPRO_INSTR", "777")
-        monkeypatch.setenv("REPRO_WARMUP", "111")
-        assert runner.DEFAULT_INSTRUCTIONS == exp.DEFAULT_INSTRUCTIONS == 777
-        assert runner.DEFAULT_WARMUP == exp.DEFAULT_WARMUP == 111

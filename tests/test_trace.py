@@ -610,20 +610,15 @@ class TestSampledReplay:
         d = SimSpec.make("gzip", MACHINE_SAMIE, 500, 100, seed=2)
         assert c.key != d.key
 
-    def test_run_one_shares_key_with_spec_path(self, tmp_path):
-        from repro.experiments import runner
-
+    def test_trace_alias_and_path_share_one_key(self, tmp_path):
         path = str(tmp_path / "t.uoptrace")
         record_trace(path, "gzip", 3000)
         TraceWorkload(path, name="keyshare-alias").register()
         try:
             spec = SimSpec.make("keyshare-alias", MACHINE_SAMIE, 400, 100)
-            # the factory shim and the spec engine must memoise the same
-            # simulation under the same identity, alias or not
-            factory_key = runner._spec_key(
-                "keyshare-alias", spec.machine_key, 400, 100, 1, None
-            )
-            assert factory_key == spec.key
+            # one file is one simulation identity, alias or path
+            by_path = SimSpec.make(spec_name(path), MACHINE_SAMIE, 400, 100)
+            assert by_path.key == spec.key
         finally:
             registry.unregister_trace_workload("keyshare-alias")
 
