@@ -41,7 +41,6 @@ from repro.trace.sampling import (
     SamplePlan,
     ScalarWarmEngine,
     attach_error,
-    functional_warmer,
     make_warm_engine,
     run_sampled,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "SampledStream",
     "ScalarWarmEngine",
     "attach_error",
-    "functional_warmer",
     "make_warm_engine",
     "run_sampled",
     "SpikeStats",

@@ -12,7 +12,7 @@ Known caveats (documented in ROADMAP.md):
 
 * cold structures after a skip gap bias windows *slow*; the per-window
   detailed ``warmup`` re-heats them, and SMARTS-style *functional*
-  warming (:func:`functional_warmer`) additionally touches the L1
+  warming (a warm engine, below) additionally touches the L1
   caches, TLBs and branch predictor for every skipped uop.  Functional
   warming is **on by default** since the detailed model gained MSHR
   miss-merging: full runs now pay the real cost of duplicate in-flight
@@ -53,8 +53,9 @@ Functional warming runs under one of two interchangeable engines:
   pattern as ``repro.lsq.reference``).
 * ``"vector"`` (default) -- :class:`repro.trace.fastwarm.VectorWarmEngine`,
   which drains each skip gap as one columnar numpy batch (zero-copy from
-  ``.uoptrace`` frames via ``TraceStream.take_batch``) and replays every
-  structure with exact-equivalence kernels.
+  ``.uoptrace`` frames via ``TraceStream.take_batch``, generated in
+  columns by ``SyntheticStream.take_batch`` for the synthetic workloads)
+  and replays every structure with exact-equivalence kernels.
 
 The engines are **bit-identical** by contract -- post-warm cache/TLB/
 predictor/BTB state and merged results match exactly (enforced by
@@ -150,25 +151,24 @@ class SampledStream:
     ``consumed``/``yielded`` expose coverage.
 
     The skip path warms through ``engine``: an engine with a
-    ``warm_batch`` method drains whole gaps as columnar batches (pulled
-    zero-copy via the source's ``take_batch`` when it has one, else
-    materialised from the iterator); an engine with only ``warm`` -- or
-    a bare ``on_skip`` callable, the historical hook -- sees skipped
-    uops one at a time.
+    ``warm_batch`` method drains whole gaps as columnar batches (taken
+    from the source's ``take_batch`` when it has one -- trace files and
+    synthetic workloads -- else materialised from the iterator); an
+    engine with only ``warm`` sees skipped uops one at a time.  Without
+    an engine, skipped uops are consumed and dropped.
     """
 
-    def __init__(self, source: Iterable[UOp], plan: SamplePlan, on_skip=None,
-                 engine=None):
+    def __init__(self, source: Iterable[UOp], plan: SamplePlan, engine=None):
         self._it = iter(source)
         self._plan = plan
         self._engine = engine
         self._warm_batch = getattr(engine, "warm_batch", None)
         if self._warm_batch is not None:
             self._take_batch = getattr(source, "take_batch", None)
-            self._on_skip = None
+            self._warm = None
         else:
             self._take_batch = None
-            self._on_skip = engine.warm if engine is not None else on_skip
+            self._warm = engine.warm if engine is not None else None
         self.consumed = 0
         self.yielded = 0
 
@@ -194,8 +194,8 @@ class SampledStream:
                 )
                 self.yielded += 1
                 return v
-            if self._on_skip is not None:
-                self._on_skip(u)
+            if self._warm is not None:
+                self._warm(u)
 
     def _skip_batch(self, want: int) -> int:
         """Drain up to ``want`` skipped uops through the batch engine."""
@@ -274,11 +274,6 @@ class ScalarWarmEngine:
             if u.taken:
                 self._btb.update(u.pc, u.target)
                 self._last_iline = -1
-
-
-def functional_warmer(pipe: Pipeline):
-    """Back-compat shim: the per-uop hook of a fresh scalar engine."""
-    return ScalarWarmEngine(pipe).warm
 
 
 def make_warm_engine(pipe: Pipeline, warm_engine: str = "vector"):

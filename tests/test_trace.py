@@ -3,6 +3,8 @@ workload-registry integration and the ``repro trace`` CLI."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import main
@@ -431,7 +433,8 @@ class TestSamplePlan:
     def test_stream_renumbers_and_skips(self):
         src = [UOp(i, 4 * i, OpClass.INT_ALU) for i in range(100)]
         skipped: list[int] = []
-        stream = SampledStream(src, SamplePlan(10, 2, 3), on_skip=lambda u: skipped.append(u.pc))
+        recorder = SimpleNamespace(warm=lambda u: skipped.append(u.pc))
+        stream = SampledStream(src, SamplePlan(10, 2, 3), engine=recorder)
         out = list(stream)
         assert [u.seq for u in out] == list(range(50))  # dense renumbering
         assert stream.consumed == 100 and stream.yielded == 50
