@@ -1,9 +1,18 @@
-"""Dynamic state of one in-flight instruction.
+"""One dynamic instruction, from fetch to commit.
 
-``InFlight`` wraps a :class:`~repro.isa.uop.UOp` with everything the
-pipeline and the LSQ models need to track between dispatch and commit.
-It deliberately uses plain attributes (``__slots__``) rather than a state
-machine object: the pipeline is the single writer and the fields are its
+``InFlight`` is the pipeline's only per-instruction object: the static
+fields of the instruction record (those of :class:`~repro.isa.uop.UOp`)
+sit next to everything the pipeline and the LSQ models track between
+fetch and commit, all in ``__slots__``.  Fetch builds it once -- one
+``map`` over the columns of a source's record batch
+(:meth:`InFlight.from_records`), or from a ``UOp`` for plain iterators
+(:meth:`InFlight.from_uop`) -- and dispatch moves that same object into
+the window.  A flush squashes it; the refetch replays a fresh copy
+(``from_uop`` of the squashed instance), so no dynamic state survives
+a squash.
+
+It deliberately uses plain attributes rather than a state machine
+object: the pipeline is the single writer and the fields are its
 latches.
 """
 
@@ -11,21 +20,30 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.isa.opclasses import OP_BY_CODE, OP_FLAGS, OpClass
 from repro.isa.uop import UOp
 
 
 class InFlight:
-    """Pipeline state of one dispatched instruction.
+    """Pipeline state of one fetched instruction.
 
     Lifecycle::
 
-        dispatch -> (issue -> execute) -> [mem: address_ready -> placement
-        -> access] -> done -> commit
+        fetch -> dispatch -> (issue -> execute) -> [mem: address_ready
+        -> placement -> access] -> done -> commit
 
-    Attributes:
-        uop: the static micro-op.
-        src1_seq, src2_seq: absolute producer sequence numbers
-            (-1 = operand ready at dispatch).
+    Static attributes (the instruction record; never written after
+    construction):
+        seq: dynamic sequence number (also the age identifier).
+        pc, op, src1, src2, addr, size, taken, target: as in
+            :class:`~repro.isa.uop.UOp`.
+        byte0, byte1: half-open ``[byte0, byte1)`` byte range of a
+            memory access.
+        is_mem, is_load, is_store, is_branch, is_fp, needs_int_reg:
+            op-class flags, one row of
+            :data:`~repro.isa.opclasses.OP_FLAGS`.
+
+    Dynamic attributes:
         deps_left: producers still outstanding.
         issued: instruction has been sent to a functional unit.
         done: result available (dependents may wake).
@@ -36,11 +54,8 @@ class InFlight:
             the LSQ model owns its meaning).
         in_addr_buffer: parked in the SAMIE AddrBuffer.
         mem_started: the D-cache access / forward has been initiated.
-        fwd_store: store this load forwards from (route decided).
-        wait_store: store whose data/commit the load is waiting on.
         store_data_ready: store operand value available.
         load_value: model-observed value tag (data-checking mode).
-        ready_cycle: cycle at which the result becomes available.
         stall_charged_until: MSHR stall-episode watermark -- structural
             stall cycles have been charged up to this hierarchy cycle
             (closed-form interval accounting; see
@@ -50,12 +65,9 @@ class InFlight:
     """
 
     __slots__ = (
-        "uop",
-        "seq",
-        "byte0",
-        "byte1",
-        "src1_seq",
-        "src2_seq",
+        "seq", "pc", "op", "src1", "src2", "addr", "size", "taken", "target",
+        "byte0", "byte1",
+        "is_mem", "is_load", "is_store", "is_branch", "is_fp", "needs_int_reg",
         "deps_left",
         "issued",
         "done",
@@ -64,25 +76,37 @@ class InFlight:
         "placement",
         "in_addr_buffer",
         "mem_started",
-        "fwd_store",
-        "wait_store",
         "store_data_ready",
         "load_value",
-        "ready_cycle",
         "stall_charged_until",
         "stall_epoch",
     )
 
-    def __init__(self, uop: UOp):
-        self.uop = uop
-        #: dynamic sequence number (also the age identifier); cached from
-        #: the uop -- the LSQ models read it many times per cycle
-        self.seq = uop.seq
-        #: half-open [byte0, byte1) byte range of a memory access
-        self.byte0 = uop.addr
-        self.byte1 = uop.addr + uop.size
-        self.src1_seq = -1
-        self.src2_seq = -1
+    def __init__(
+        self,
+        seq: int,
+        pc: int,
+        op: OpClass,
+        src1: int = 0,
+        src2: int = 0,
+        addr: int = 0,
+        size: int = 0,
+        taken: bool = False,
+        target: int = 0,
+    ):
+        self.seq = seq
+        self.pc = pc
+        self.op = op
+        self.src1 = src1
+        self.src2 = src2
+        self.addr = addr
+        self.size = size
+        self.taken = taken
+        self.target = target
+        self.byte0 = addr
+        self.byte1 = addr + size
+        (self.is_mem, self.is_load, self.is_store, self.is_branch,
+         self.is_fp, self.needs_int_reg) = OP_FLAGS[op]
         self.deps_left = 0
         self.issued = False
         self.done = False
@@ -91,13 +115,34 @@ class InFlight:
         self.placement: Any = None
         self.in_addr_buffer = False
         self.mem_started = False
-        self.fwd_store: "InFlight | None" = None
-        self.wait_store: "InFlight | None" = None
         self.store_data_ready = False
         self.load_value: Any = None
-        self.ready_cycle = -1
         self.stall_charged_until = 0
         self.stall_epoch = 0
+
+    @classmethod
+    def from_uop(cls, uop: "UOp | InFlight") -> "InFlight":
+        """The instruction of one ``UOp`` (or a fresh copy of an
+        ``InFlight``, which has the same static fields), with fresh
+        dynamic state."""
+        return cls(uop.seq, uop.pc, uop.op, uop.src1, uop.src2,
+                   uop.addr, uop.size, uop.taken, uop.target)
+
+    @classmethod
+    def from_records(cls, rec, seq0: int) -> list["InFlight"]:
+        """One instance per record of a ``record_dtype()`` batch.
+
+        Seqs run densely from ``seq0``.  An op code outside
+        :class:`OpClass` raises the ``KeyError`` that
+        :meth:`repro.trace.format.TraceStream.__next__` raises for it.
+        """
+        return list(map(
+            cls, range(seq0, seq0 + len(rec)), rec["pc"].tolist(),
+            map(OP_BY_CODE.__getitem__, rec["op"].tolist()),
+            rec["src1"].tolist(), rec["src2"].tolist(),
+            rec["addr"].tolist(), rec["size"].tolist(),
+            (rec["flags"] == 1).tolist(), rec["target"].tolist(),
+        ))
 
     def byte_range(self) -> tuple[int, int]:
         """Half-open [start, end) byte range of a memory access."""
@@ -122,4 +167,4 @@ class InFlight:
             )
             if f
         )
-        return f"InFlight({self.uop!r} [{flags}])"
+        return f"InFlight(#{self.seq} {self.op.name} pc=0x{self.pc:x} [{flags}])"

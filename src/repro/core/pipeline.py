@@ -14,14 +14,18 @@ Stage order within one simulated cycle (see DESIGN.md §3 for rationale):
 3. commit:   in-order retire, store cache writes, deadlock detection
 4. memory:   start ready loads on free D-cache ports
 5. issue:    ready-heap -> functional units
-6. dispatch: fetch queue -> ROB/IQ/LSQ
-7. fetch:    trace -> fetch queue (prediction, I-cache)
-8. sample:   telemetry (active area, occupancies)
+6. dispatch: fetch queue -> ROB/IQ/LSQ (moves the fetched object)
+7. fetch:    trace -> fetch queue (prediction, I-cache); builds the
+             one :class:`~repro.core.inflight.InFlight` per instruction
+8. sample:   telemetry (active area, occupancies), charged once per run
+             of unchanged LSQ state: a run closes when the LSQ's area
+             breakdown changes, at a stats reset and at the result
 
 On a branch misprediction fetch stalls until the branch resolves
 (trace-driven: there is no wrong path).  A pipeline flush (the SAMIE
 deadlock-avoidance mechanism, §3.3) squashes every in-flight instruction
-and refetches starting at the ROB head, replaying buffered trace records.
+and refetches starting at the ROB head, replaying fresh copies of the
+squashed instructions.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ from repro.obs.telemetry import build_extra, get_telemetry
 
 #: "no sequence number": above every real seq (frontier / bound sentinel)
 _NO_SEQ = 1 << 62
+
+#: records fetch takes per ``take_batch`` call from a batch source
+_FETCH_BATCH = 256
 
 #: hoisted Table 5 cache-access energies (read per data-side access)
 _E_DCACHE_WAY = CACHE_ENERGY["dcache_way_known_access"]
@@ -154,7 +161,7 @@ class Pipeline:
         "pools", "fetch_queue", "_fetch_cap", "cache_energy", "area",
         "_pool_list", "_sample_occ", "_issue_info",
         "_area_acc", "_occ_list", "_ab_buf", "_skip_area",
-        "_area_pending", "_area_last_bd",
+        "_held_bd", "_held_occ", "_held_ab", "_held_since",
         "_lsq_begin_cycle", "_lsq_area_breakdown",
         "_commit_width", "_decode_width", "_fetch_width", "_watchdog",
         "_track_data", "_iw_int", "_iw_fp",
@@ -162,7 +169,8 @@ class Pipeline:
         "_last_commit_cycle", "_events", "_inflight", "_waiters",
         "_data_waiters", "_pending_loads", "_pending_min", "_unresolved_stores",
         "_int_regs_used", "_fp_regs_used",
-        "_trace", "_replay", "_fetch_seq", "_trace_exhausted",
+        "_trace", "_take_batch", "_batch", "_batch_pos", "_records",
+        "_replay", "_fetch_seq", "_trace_exhausted",
         "_fetch_stall_seq", "_fetch_block_until", "_last_iline",
         "_flush_requested",
         "_ref_mem", "_expected", "_committed_mem", "data_violations",
@@ -192,7 +200,7 @@ class Pipeline:
             "fp_mult": FuncUnitPool("fp_mult", cfg.fp_mult),
         }
         # plain deque + explicit capacity: peeked/popped every cycle
-        self.fetch_queue: deque[UOp] = deque()
+        self.fetch_queue: deque[InFlight] = deque()
         self._fetch_cap = cfg.fetch_queue
         self.cache_energy = EnergyAccount()
         self.area = ActiveAreaTracker()
@@ -207,17 +215,21 @@ class Pipeline:
         self._area_acc = self.area._area_cycles
         self._occ_list = lsq._shared if self._sample_occ else None
         self._ab_buf = lsq._addr_buffer._buf if self._sample_occ else None
-        # a constant-zero breakdown (ARB) skips the per-cycle adds; the
-        # accumulator is seeded instead so results keep the component key
+        # a constant-zero breakdown (ARB) skips the per-step identity
+        # test; the accumulator is seeded instead so results keep the
+        # component key
         self._skip_area = bool(getattr(lsq, "area_is_constant_zero", False))
         if self._skip_area:
             for comp, area in lsq.area_breakdown().items():
                 self._area_acc[comp] += area
-        # stage-8 run-length batching: cycles whose breakdown dict is the
-        # *same object* (the LSQ's cache survived untouched) fold into one
-        # pending count, flushed as an exact multiply-add (_flush_area)
-        self._area_pending = 0
-        self._area_last_bd: dict[str, float] | None = None
+        # stage 8 is charged per run of unchanged LSQ state: the state
+        # last seen (breakdown object, SharedLSQ occupancy, AddrBuffer
+        # busy) and the cycle since which it has held; _flush_area
+        # closes the run
+        self._held_bd: dict[str, float] | None = None
+        self._held_occ = 0
+        self._held_ab = False
+        self._held_since = 0
         #: OpClass -> (pool, exec latency, pipelined?): one lookup per issue
         self._issue_info = {
             op: (self.pools[fu_pool_for(op)], EXEC_LATENCY[op], PIPELINED[op])
@@ -257,7 +269,15 @@ class Pipeline:
         self._fp_regs_used = 0
 
         self._trace: Iterator[UOp] | None = None
-        self._replay: dict[int, UOp] = {}
+        self._take_batch = None
+        #: InFlights built from the source's last batch, and the next one
+        self._batch: list[InFlight] = []
+        self._batch_pos = 0
+        #: records taken from the source (the seq of the next new one);
+        #: kept apart from _fetch_seq, which a flush rewinds
+        self._records = 0
+        #: seq -> fetched, uncommitted instruction (refetched after a flush)
+        self._replay: dict[int, InFlight] = {}
         self._fetch_seq = 0
         self._trace_exhausted = False
         self._fetch_stall_seq: int | None = None  # mispredicted branch seq
@@ -300,8 +320,18 @@ class Pipeline:
     # trace plumbing
     # ------------------------------------------------------------------
     def attach_trace(self, trace: Iterator[UOp]) -> None:
-        """Connect the dynamic instruction source."""
+        """Connect the dynamic instruction source.
+
+        A source with a ``take_batch`` method (synthetic streams, trace
+        files) is read ``_FETCH_BATCH`` records at a time, so fetch runs
+        up to one batch ahead of the instructions it has fetched; any
+        other iterator is pulled one ``UOp`` per fetched instruction and
+        is never read ahead (a sampled stream must not be).
+        """
         self._trace = trace
+        self._take_batch = getattr(trace, "take_batch", None)
+        self._batch = []
+        self._batch_pos = 0
 
     def set_cycle_tracer(self, tracer) -> None:
         """Attach (or with ``None`` detach) an observation-only cycle hook.
@@ -313,33 +343,61 @@ class Pipeline:
         """
         self._ctrace = tracer
 
-    def _next_uop(self) -> UOp | None:
+    def _next_ins(self) -> InFlight | None:
+        """The instruction at ``_fetch_seq``, or None at the trace end."""
         seq = self._fetch_seq
-        uop = self._replay.get(seq)
-        if uop is None:
-            if self._trace_exhausted:
-                return None
+        if seq < self._records:
+            # refetch after a flush: a fresh copy, so no dynamic state
+            # of the squashed instance survives
+            ins = self._replay[seq] = InFlight.from_uop(self._replay[seq])
+        else:
+            pos = self._batch_pos
+            if pos < len(self._batch):  # common case: built and waiting
+                ins = self._batch[pos]
+                self._batch_pos = pos + 1
+            else:
+                ins = self._pull()
+                if ins is None:
+                    return None
+            self._records = seq + 1
+            self._replay[seq] = ins
+            if self._track_data:
+                self._oracle_record(ins)
+        self._fetch_seq = seq + 1
+        return ins
+
+    def _pull(self) -> InFlight | None:
+        """The next new instruction from the source once the current
+        batch is used up: the next ``UOp`` of a plain iterator, or the
+        first of a new batch.  None at the source's end."""
+        if self._trace_exhausted:
+            return None
+        if self._take_batch is None:
             try:
                 uop = next(self._trace)
             except StopIteration:
                 self._trace_exhausted = True
                 return None
-            if uop.seq != seq:  # pragma: no cover - generator contract
-                raise RuntimeError(f"trace out of order: got {uop.seq}, want {seq}")
-            self._replay[seq] = uop
-            if self._track_data:
-                self._oracle_record(uop)
-        self._fetch_seq += 1
-        return uop
+            if uop.seq != self._records:  # pragma: no cover - generator contract
+                raise RuntimeError(
+                    f"trace out of order: got {uop.seq}, want {self._records}")
+            return InFlight.from_uop(uop)
+        rec = self._take_batch(_FETCH_BATCH)
+        if not len(rec):
+            self._trace_exhausted = True
+            return None
+        self._batch = InFlight.from_records(rec, self._records)
+        self._batch_pos = 1
+        return self._batch[0]
 
-    def _oracle_record(self, uop: UOp) -> None:
-        """In-order reference semantics, evaluated at generation time."""
-        if uop.is_store:
-            for b in range(uop.addr, uop.addr + uop.size):
-                self._ref_mem[b] = uop.seq
-        elif uop.is_load:
-            self._expected[uop.seq] = tuple(
-                self._ref_mem.get(b, 0) for b in range(uop.addr, uop.addr + uop.size)
+    def _oracle_record(self, ins: InFlight) -> None:
+        """In-order reference semantics, evaluated at first fetch."""
+        if ins.is_store:
+            for b in range(ins.addr, ins.addr + ins.size):
+                self._ref_mem[b] = ins.seq
+        elif ins.is_load:
+            self._expected[ins.seq] = tuple(
+                self._ref_mem.get(b, 0) for b in range(ins.addr, ins.addr + ins.size)
             )
 
     # ------------------------------------------------------------------
@@ -374,7 +432,7 @@ class Pipeline:
                 if getattr(lsq, "need_flush", False):
                     # AddrBuffer overflow signal from the SAMIE model
                     self._flush_requested = True
-                if ins.uop.is_store:
+                if ins.is_store:
                     self._advance_store_frontier()
                     if ins.store_data_ready:
                         ins.done = True
@@ -390,21 +448,20 @@ class Pipeline:
             for w in waiters.pop(ins.seq, ()):  # register dependents
                 w.deps_left -= 1
                 if w.deps_left == 0 and not w.issued:
-                    iq = fp_iq if w.uop.is_fp else int_iq
+                    iq = fp_iq if w.is_fp else int_iq
                     heappush(iq._ready, (w.seq, w))  # inlined mark_ready
             for w in data_waiters.pop(ins.seq, ()):  # store data operands
                 w.store_data_ready = True
                 lsq.store_data_arrived(w)
                 if w.addr_ready and not w.done:
                     w.done = True
-            if kind == "exec" and ins.uop.is_branch:
+            if kind == "exec" and ins.is_branch:
                 self._resolve_branch(ins)
 
     def _resolve_branch(self, ins: InFlight) -> None:
-        u = ins.uop
-        self.predictor.update(u.pc, u.taken, predicted=None)
-        if u.taken:
-            self.btb.update(u.pc, u.target)
+        self.predictor.update(ins.pc, ins.taken, predicted=None)
+        if ins.taken:
+            self.btb.update(ins.pc, ins.target)
         if self._fetch_stall_seq == ins.seq:
             self._fetch_stall_seq = None
 
@@ -422,7 +479,7 @@ class Pipeline:
             return
         head = buf[0]
         if not head.done and not (
-            head.uop.is_mem and head.addr_ready and head.placement is None
+            head.is_mem and head.addr_ready and head.placement is None
         ):
             return  # common stalled case: head simply not finished yet
         lsq = self.lsq
@@ -434,8 +491,7 @@ class Pipeline:
             if not buf:
                 return
             head = buf[0]
-            uop = head.uop
-            if uop.is_mem and head.addr_ready and head.placement is None:
+            if head.is_mem and head.addr_ready and head.placement is None:
                 # the paper's deadlock-avoidance check (§3.3)
                 if lsq.head_blocked(head):
                     self._flush(reason="deadlock")
@@ -444,11 +500,11 @@ class Pipeline:
                     return  # placed next cycle via AddrBuffer drain
             if not head.done:
                 return
-            if uop.is_mem:
-                if uop.is_store:
+            if head.is_mem:
+                if head.is_store:
                     if head.placement is None:
                         return  # cannot write the cache before disambiguation
-                    if mem.daccess_blocked(uop.addr, head):
+                    if mem.daccess_blocked(head.addr, head):
                         return  # MSHR exhausted: retry writeback next cycle
                     if not mem.dports.try_acquire():
                         return  # no write port this cycle
@@ -459,11 +515,11 @@ class Pipeline:
             seq = head.seq
             del inflight[seq]
             replay.pop(seq, None)
-            if uop.is_fp:
+            if head.is_fp:
                 self._fp_regs_used -= 1
-            elif uop.needs_int_reg:
+            elif head.needs_int_reg:
                 self._int_regs_used -= 1
-            if track and uop.is_load:
+            if track and head.is_load:
                 self.committed_load_values[seq] = head.load_value
                 expected = self._expected.pop(seq, None)
                 if expected is not None and head.load_value != expected:
@@ -474,13 +530,13 @@ class Pipeline:
     def _store_writeback(self, ins: InFlight) -> None:
         route = self.lsq.route_store_commit(ins)
         out = self.mem.daccess(
-            ins.uop.addr, write=True, skip_tlb=route.skip_tlb, way_known=route.way_known
+            ins.addr, write=True, skip_tlb=route.skip_tlb, way_known=route.way_known
         )
         self._charge_access(route.way_known, route.skip_tlb)
         self.lsq.record_location(ins, out.l1.set_index, out.l1.way)
         self.mem.l1d.set_present_bit(out.l1.set_index, out.l1.way, True)
         if self._track_data:
-            for b in range(ins.uop.addr, ins.uop.addr + ins.uop.size):
+            for b in range(ins.byte0, ins.byte1):
                 self._committed_mem[b] = ins.seq
 
     def _charge_access(self, way_known: bool, skip_tlb: bool) -> None:
@@ -491,10 +547,9 @@ class Pipeline:
             pj["dtlb"] += _E_DTLB
 
     def _release_reg(self, ins: InFlight) -> None:
-        uop = ins.uop
-        if uop.is_fp:
+        if ins.is_fp:
             self._fp_regs_used -= 1
-        elif uop.needs_int_reg:
+        elif ins.needs_int_reg:
             self._int_regs_used -= 1
 
     # ------------------------------------------------------------------
@@ -533,12 +588,11 @@ class Pipeline:
                 if still is None:
                     still = pending[:i]
                 ld.mem_started = True
-                ld.fwd_store = route.store
                 if track:
-                    ld.load_value = tuple(route.store.seq for _ in range(ld.uop.size))
+                    ld.load_value = tuple(route.store.seq for _ in range(ld.size))
                 self._schedule(self.cycle + 1, "mem", ld)
             else:
-                if mem.daccess_blocked(ld.uop.addr, ld):
+                if mem.daccess_blocked(ld.addr, ld):
                     if still is not None:
                         still.append(ld)  # structural stall: MSHRs exhausted
                     continue
@@ -550,7 +604,7 @@ class Pipeline:
                     still = pending[:i]
                 ld.mem_started = True
                 out = mem.daccess(
-                    ld.uop.addr, write=False, skip_tlb=route.skip_tlb, way_known=route.way_known
+                    ld.addr, write=False, skip_tlb=route.skip_tlb, way_known=route.way_known
                 )
                 self._charge_access(route.way_known, route.skip_tlb)
                 lsq.record_location(ld, out.l1.set_index, out.l1.way)
@@ -558,7 +612,7 @@ class Pipeline:
                 if track:
                     ld.load_value = tuple(
                         self._committed_mem.get(b, 0)
-                        for b in range(ld.uop.addr, ld.uop.addr + ld.uop.size)
+                        for b in range(ld.byte0, ld.byte1)
                     )
                 self._schedule(self.cycle + max(1, out.latency), "mem", ld)
         if still is not None:
@@ -589,11 +643,10 @@ class Pipeline:
             iq.size -= 1
             if ins.seq not in inflight:
                 continue  # squashed
-            uop = ins.uop
-            if uop.is_mem and not lsq.can_accept_address():
+            if ins.is_mem and not lsq.can_accept_address():
                 deferred.append(ins)  # §3.3: no guaranteed AddrBuffer slot
                 continue
-            pool, lat, pipelined = issue_info[uop.op]
+            pool, lat, pipelined = issue_info[ins.op]
             # inlined FuncUnitPool.issue
             if pool.units - pool._issued_this_cycle - len(pool._busy_until) <= 0:
                 deferred.append(ins)
@@ -603,7 +656,7 @@ class Pipeline:
                 pool._busy_until.append(cycle + lat)
             ins.issued = True
             issued += 1
-            if uop.is_mem:
+            if ins.is_mem:
                 lsq.address_issued()
                 kind = "agu"
             else:
@@ -620,7 +673,7 @@ class Pipeline:
             iq.size += 1
 
     # ------------------------------------------------------------------
-    # stage 6: dispatch
+    # stage 6: dispatch (moves the fetched InFlight; builds nothing)
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
         fq = self.fetch_queue
@@ -638,25 +691,26 @@ class Pipeline:
         for _ in range(self._decode_width):
             if not fq or len(rob_buf) >= rob_cap:
                 return
-            uop = fq[0]
-            iq = fp_iq if uop.is_fp else int_iq
+            ins = fq[0]
+            iq = fp_iq if ins.is_fp else int_iq
             if iq.size >= iq.capacity:
                 return
             # inlined _acquire_reg
-            if uop.is_fp:
+            if ins.is_fp:
                 if self._fp_regs_used >= cfg.fp_regs:
                     return
                 self._fp_regs_used += 1
-            elif uop.needs_int_reg:
+            elif ins.needs_int_reg:
                 if self._int_regs_used >= cfg.int_regs:
                     return
                 self._int_regs_used += 1
-            ins = InFlight(uop)
-            if uop.is_mem and not lsq.dispatch(ins):
+            # a refused dispatch leaves ins untouched (BaseLSQ.dispatch
+            # contract): the same object is retried next cycle
+            if ins.is_mem and not lsq.dispatch(ins):
                 self._release_reg(ins)
                 return
             fq.popleft()
-            seq = uop.seq
+            seq = ins.seq
             inflight[seq] = ins
             rob_buf.append(ins)  # inlined rob.push (capacity checked above)
             # register dependences: a producer still in flight and not yet
@@ -664,27 +718,25 @@ class Pipeline:
             # a store's data operand (src2) gates only its data, not AGU
             deps = 0
             data_ready = True
-            if uop.src1:
-                pseq = seq - uop.src1
+            if ins.src1:
+                pseq = seq - ins.src1
                 prod = inflight.get(pseq)
                 if prod is not None and not prod.done and not (
-                    prod.uop.is_store or prod.uop.is_branch
+                    prod.is_store or prod.is_branch
                 ):
-                    ins.src1_seq = pseq
                     deps = 1
                     bucket = waiters.get(pseq)
                     if bucket is None:
                         waiters[pseq] = [ins]
                     else:
                         bucket.append(ins)
-            if uop.src2:
-                pseq = seq - uop.src2
+            if ins.src2:
+                pseq = seq - ins.src2
                 prod = inflight.get(pseq)
                 if prod is not None and not prod.done and not (
-                    prod.uop.is_store or prod.uop.is_branch
+                    prod.is_store or prod.is_branch
                 ):
-                    ins.src2_seq = pseq
-                    if uop.is_store:
+                    if ins.is_store:
                         data_ready = False
                         self._data_waiters.setdefault(pseq, []).append(ins)
                     else:
@@ -700,7 +752,7 @@ class Pipeline:
                 ins.deps_left = deps
             else:
                 heappush(iq._ready, (seq, ins))
-            if uop.is_store:
+            if ins.is_store:
                 ins.store_data_ready = data_ready
                 ins.disamb_resolved = False
                 self._unresolved_stores.append(ins)
@@ -717,37 +769,37 @@ class Pipeline:
         for _ in range(self._fetch_width):
             if len(fq) >= cap:
                 return
-            uop = self._next_uop()
-            if uop is None:
+            ins = self._next_ins()
+            if ins is None:
                 return
-            iline = uop.pc >> line_shift
+            iline = ins.pc >> line_shift
             if iline != self._last_iline:
                 self._last_iline = iline
-                lat = self.mem.iaccess(uop.pc)
+                lat = self.mem.iaccess(ins.pc)
                 if lat > self.cfg.mem.l1i_latency:
                     self._fetch_block_until = self.cycle + lat
-                    fq.append(uop)
-                    if uop.is_branch:
-                        self._predict(uop)
+                    fq.append(ins)
+                    if ins.is_branch:
+                        self._predict(ins)
                     return
-            fq.append(uop)
-            if uop.is_branch:
-                if self._predict(uop):
+            fq.append(ins)
+            if ins.is_branch:
+                if self._predict(ins):
                     return  # mispredict: stall until resolution
-                if uop.taken:
+                if ins.taken:
                     self._last_iline = -1
                     return  # taken-branch fetch break
 
-    def _predict(self, uop: UOp) -> bool:
+    def _predict(self, ins: InFlight) -> bool:
         """Returns True when fetch must stall (misprediction/misfetch)."""
-        pred_taken = self.predictor.predict(uop.pc)
-        target = self.btb.lookup(uop.pc) if pred_taken else None
-        mispredict = pred_taken != uop.taken or (
-            uop.taken and (target is None or target != uop.target)
+        pred_taken = self.predictor.predict(ins.pc)
+        target = self.btb.lookup(ins.pc) if pred_taken else None
+        mispredict = pred_taken != ins.taken or (
+            ins.taken and (target is None or target != ins.target)
         )
         if mispredict:
             self.predictor.mispredicts.add()
-            self._fetch_stall_seq = uop.seq
+            self._fetch_stall_seq = ins.seq
             self._last_iline = -1
         return mispredict
 
@@ -799,8 +851,9 @@ class Pipeline:
         (events scheduled, ROB/issue-heap/pending-load occupancy, fetch
         not stalled): a skipped stage is one that would have done nothing,
         so results are bit-identical to the unconditional ordering while
-        quiescent stages cost nothing.  Per-cycle telemetry (stage 8) is
-        inlined and batched against the LSQ's cached area breakdown.
+        quiescent stages cost nothing.  Telemetry (stage 8) costs one
+        identity test against the LSQ's cached area breakdown; see
+        :meth:`_flush_area`.
         """
         cycle = self.cycle
         # inlined MemoryHierarchy.new_cycle: advance the fill clock,
@@ -848,49 +901,56 @@ class Pipeline:
             self._dispatch()
         if self._fetch_stall_seq is None and cycle >= self._fetch_block_until:
             self._fetch()
-        # stage 8: telemetry (active area, occupancies), inlined.  The
-        # breakdown dict is cached by the LSQ and rebuilt (a new object)
-        # on any occupancy change, so an identity match proves the run of
-        # cycles shares one breakdown -- it folds into a pending count
-        # and is flushed as an exact multiply-add (see _flush_area)
+        # stage 8: telemetry (active area, occupancies).  The LSQ caches
+        # its breakdown dict and rebuilds it (a new object) on every
+        # occupancy change, so one identity test tells whether the held
+        # run of unchanged state goes on through this cycle
         if not self._skip_area:
             bd = self._lsq_area_breakdown()
-            if bd is self._area_last_bd:
-                self._area_pending += 1
-            else:
-                if self._area_pending:
-                    self._flush_area()
-                self._area_last_bd = bd
-                self._area_pending = 1
-        self.area.cycles += 1
-        if self._sample_occ:
-            hist = self.shared_occ_hist
-            occ = len(self._occ_list)
-            if occ <= hist.max_value:
-                hist.buckets[occ] += 1
-            else:
-                hist.overflow += 1
-            if self._ab_buf:
-                self.addr_buffer_busy_cycles += 1
+            if bd is not self._held_bd:
+                self._flush_area(cycle, bd)
         if self._ctrace is not None:
             self._ctrace.snap(self)
         self.cycle = cycle + 1
 
-    def _flush_area(self) -> None:
-        """Fold the pending stage-8 run into the area accumulators.
+    def _flush_area(self, upto: int, bd: dict[str, float] | None) -> None:
+        """Close the held stage-8 run at cycle ``upto``; hold ``bd``.
 
-        The Table 5 areas are integral um^2 (guarded by
-        tests/test_bit_identity.py), so the accumulators only ever hold
-        integers far below 2**53 and one multiply-add equals n repeated
-        additions bit for bit -- the same regrouping argument as
-        SamieLSQ.area_breakdown.
+        Stage 8 samples the LSQ state at the end of every cycle: its
+        area breakdown, the SharedLSQ occupancy and whether the
+        AddrBuffer is busy.  The state is charged once per run of
+        cycles over which it held -- steps and skipped spans alike --
+        as ``area * n``, ``n`` histogram samples, ``n`` busy cycles and
+        ``n`` area cycles.  A run closes when the breakdown object
+        changes (the caller passes the one it just fetched), at a stats
+        reset and at :meth:`result`.  The Table 5 areas are integral
+        um^2 (guarded by tests/test_bit_identity.py), so the
+        accumulators only ever hold integers far below 2**53 and one
+        multiply-add equals n repeated additions bit for bit -- the
+        same regrouping argument as SamieLSQ.area_breakdown.
         """
-        n = self._area_pending
-        if n and self._area_last_bd is not None:
-            area_cycles = self._area_acc
-            for comp, area in self._area_last_bd.items():
-                area_cycles[comp] += area * n
-        self._area_pending = 0
+        n = upto - self._held_since
+        if n:
+            held = self._held_bd
+            if held is not None:
+                area_cycles = self._area_acc
+                for comp, area in held.items():
+                    area_cycles[comp] += area * n
+            self.area.cycles += n
+            if self._sample_occ:
+                hist = self.shared_occ_hist
+                occ = self._held_occ
+                if occ <= hist.max_value:
+                    hist.buckets[occ] += n
+                else:
+                    hist.overflow += n
+                if self._held_ab:
+                    self.addr_buffer_busy_cycles += n
+        self._held_since = upto
+        self._held_bd = bd
+        if self._sample_occ:
+            self._held_occ = len(self._occ_list)
+            self._held_ab = bool(self._ab_buf)
 
     def reset_stats(self) -> None:
         """Zero all measurement state, keeping architectural state warm.
@@ -904,10 +964,9 @@ class Pipeline:
         self.lsq.stats = type(self.lsq.stats)()
         self.cache_energy.reset()
         self.area.reset()
-        # discard any batched pre-reset stage-8 cycles: their area counts
-        # belong to the measurement epoch that was just zeroed
-        self._area_pending = 0
-        self._area_last_bd = None
+        # restart the held stage-8 run here: its earlier cycles belong
+        # to the measurement epoch that was just zeroed
+        self._held_since = self.cycle
         if self._skip_area:
             # re-seed the constant-zero components dropped by the reset
             for comp, area in self.lsq.area_breakdown().items():
@@ -997,12 +1056,10 @@ class Pipeline:
         only be woken by a threshold event with a known cycle: the
         earliest scheduled event, the fetch-stall horizon, the earliest
         D-side fill completion, or the commit watchdog.  The clocks
-        jump straight to the earliest wake and the per-cycle telemetry
-        (active-area accumulation, occupancy histogram) is replayed for
-        the skipped span in closed form, bit-identical to what n
-        per-cycle iterations would have accumulated (integral areas make
-        the multiply-add exact; see the comment at the replay), so
-        results match with skipping on or off (enforced by
+        jump straight to the earliest wake.  Stage-8 telemetry needs no
+        replay: the LSQ state cannot change while quiescent, so the
+        skipped span is simply part of the held run (:meth:`_flush_area`)
+        and results match with skipping on or off (enforced by
         tests/test_event_skip.py and the CI ``mshr-smoke`` job).
         """
         cycle = self.cycle
@@ -1049,11 +1106,10 @@ class Pipeline:
                     return
         if buf:
             head = buf[0]
-            uop = head.uop
-            if uop.is_mem and head.addr_ready and head.placement is None:
+            if head.is_mem and head.addr_ready and head.placement is None:
                 return  # head_blocked() probe is not a no-op (placement try)
             if head.done and not (
-                uop.is_store and mem.daccess_blocked(uop.addr, head, probe=True)
+                head.is_store and mem.daccess_blocked(head.addr, head, probe=True)
             ):
                 return  # head would commit (or contend for a write port)
             # otherwise the head resumes via an event or a fill retire;
@@ -1090,36 +1146,13 @@ class Pipeline:
         n = wake - cycle
         if n <= 0:
             return
-        # replay stage-8 telemetry for the skipped span exactly as n
-        # per-cycle iterations would have (the occupancy and breakdown
-        # are loop invariants while quiescent) -- the span joins the
-        # pending run-length batch, flushed later by _flush_area
-        if not self._skip_area:
-            bd = self._lsq_area_breakdown()
-            if bd is self._area_last_bd:
-                self._area_pending += n
-            else:
-                if self._area_pending:
-                    self._flush_area()
-                self._area_last_bd = bd
-                self._area_pending = n
-        self.area.cycles += n
-        if self._sample_occ:
-            hist = self.shared_occ_hist
-            occ = len(self._occ_list)
-            if occ <= hist.max_value:
-                hist.buckets[occ] += n
-            else:
-                hist.overflow += n
-            if self._ab_buf:
-                self.addr_buffer_busy_cycles += n
         self.skipped_cycles += n
         self.cycle = wake
         mem.cycle = wake
 
     def result(self) -> SimResult:
         """Snapshot the run statistics."""
-        self._flush_area()
+        self._flush_area(self.cycle, self._held_bd)
         l1d = self.mem.l1d.stats
         dtlb = self.mem.dtlb
         dtlb_total = dtlb.hits.value + dtlb.misses.value

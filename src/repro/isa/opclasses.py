@@ -37,6 +37,25 @@ FP_CLASSES = frozenset({OpClass.FP_ALU, OpClass.FP_MULT, OpClass.FP_DIV})
 #: Classes that occupy an LSQ entry and access the data cache.
 MEM_CLASSES = frozenset({OpClass.LOAD, OpClass.STORE})
 
+#: Record op code -> :class:`OpClass` (trace records store the code).
+OP_BY_CODE: dict[int, OpClass] = {int(op): op for op in OpClass}
+
+#: Per-op flags ``(is_mem, is_load, is_store, is_branch, is_fp,
+#: needs_int_reg)``, indexed by op code.  ``UOp`` and ``InFlight``
+#: unpack one row at construction instead of testing set membership.
+#: Loads and INT ALU/mult/div ops consume an INT rename register.
+OP_FLAGS: tuple[tuple[bool, bool, bool, bool, bool, bool], ...] = tuple(
+    (
+        op in MEM_CLASSES,
+        op is OpClass.LOAD,
+        op is OpClass.STORE,
+        op is OpClass.BRANCH,
+        op in FP_CLASSES,
+        op in (OpClass.LOAD, OpClass.INT_ALU, OpClass.INT_MULT, OpClass.INT_DIV),
+    )
+    for op in OpClass
+)
+
 #: Execution latency in cycles (address-generation latency for memory ops).
 EXEC_LATENCY: dict[OpClass, int] = {
     OpClass.INT_ALU: 1,

@@ -1,21 +1,23 @@
-"""The dynamic micro-op record consumed by the pipeline.
+"""The dynamic micro-op record: the interchange form of one instruction.
 
 A ``UOp`` is one dynamic instruction in the trace.  Register dependences
 are encoded as *producer distances*: ``src1 = d`` means the operand is
 produced by the instruction ``d`` positions earlier in the dynamic stream
-(``0`` means no dependence / value already architected).  The fetch stage
-resolves distances to absolute sequence numbers against the in-flight
-window.
+(``0`` means no dependence / value already architected).  The dispatch
+stage resolves distances to absolute sequence numbers against the
+in-flight window.
+
+``UOp`` is what sources yield from ``next()`` and what the trace
+format, Spike ingest, scenarios and the verify fuzzer exchange.  The
+pipeline itself runs on :class:`~repro.core.inflight.InFlight`, which
+carries the same fields next to its dynamic state; fetch builds one
+per instruction, from a ``UOp`` (``InFlight.from_uop``) or straight
+from a source's record batch.
 """
 
 from __future__ import annotations
 
-from repro.isa.opclasses import FP_CLASSES, OpClass
-
-#: op classes that consume an INT rename register (loads and INT ALU ops)
-_INT_REG_CLASSES = frozenset(
-    {OpClass.LOAD, OpClass.INT_ALU, OpClass.INT_MULT, OpClass.INT_DIV}
-)
+from repro.isa.opclasses import OP_FLAGS, OpClass
 
 
 class UOp:
@@ -31,8 +33,9 @@ class UOp:
         taken: branch outcome (branches only).
         target: branch target PC (branches only).
         is_mem, is_load, is_store, is_branch, is_fp, needs_int_reg:
-            op-class flags, precomputed at construction (the pipeline
-            reads them many times per uop).
+            op-class flags, one row of
+            :data:`~repro.isa.opclasses.OP_FLAGS` unpacked at
+            construction.
     """
 
     __slots__ = (
@@ -61,12 +64,8 @@ class UOp:
         self.size = size
         self.taken = taken
         self.target = target
-        self.is_load = op is OpClass.LOAD
-        self.is_store = op is OpClass.STORE
-        self.is_mem = self.is_load or self.is_store
-        self.is_branch = op is OpClass.BRANCH
-        self.is_fp = op in FP_CLASSES
-        self.needs_int_reg = op in _INT_REG_CLASSES
+        (self.is_mem, self.is_load, self.is_store, self.is_branch,
+         self.is_fp, self.needs_int_reg) = OP_FLAGS[op]
 
     def line_addr(self, line_shift: int) -> int:
         """Cache-line address (byte address >> line_shift)."""

@@ -23,7 +23,15 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from repro.core.inflight import InFlight
-from repro.lsq.base import BaseLSQ, LoadRoute, RouteKind, StoreRoute, youngest_older_overlapping
+from repro.lsq.base import (
+    CACHE_LOAD_ROUTES,
+    CACHE_STORE_ROUTES,
+    BaseLSQ,
+    LoadRoute,
+    RouteKind,
+    StoreRoute,
+    youngest_older_overlapping,
+)
 
 
 @dataclass(frozen=True)
@@ -69,10 +77,10 @@ class ARBLSQ(BaseLSQ):
 
     # -- helpers -------------------------------------------------------------
     def _bank_of(self, ins: InFlight) -> int:
-        return (ins.uop.addr >> self.cfg.word_shift) % self.cfg.banks
+        return (ins.addr >> self.cfg.word_shift) % self.cfg.banks
 
     def _word_of(self, ins: InFlight) -> int:
-        return ins.uop.addr >> self.cfg.word_shift
+        return ins.addr >> self.cfg.word_shift
 
     def _try_place(self, ins: InFlight) -> bool:
         bank = self._banks[self._bank_of(ins)]
@@ -88,7 +96,7 @@ class ARBLSQ(BaseLSQ):
         row.slots.append(ins)
         ins.placement = row
         ins.in_addr_buffer = False
-        if ins.uop.is_store:
+        if ins.is_store:
             ins.disamb_resolved = True
         self.stats.placed += 1
         return True
@@ -147,11 +155,11 @@ class ARBLSQ(BaseLSQ):
             return LoadRoute(RouteKind.FORWARD, store=src)
         self.stats.loads_from_cache += 1
         self.stats.full_cache_accesses += 1
-        return LoadRoute(RouteKind.CACHE)
+        return CACHE_LOAD_ROUTES[False][False]
 
     def route_store_commit(self, ins: InFlight) -> StoreRoute:
         self.stats.full_cache_accesses += 1
-        return StoreRoute()
+        return CACHE_STORE_ROUTES[False][False]
 
     # -- release -------------------------------------------------------------
     def commit(self, ins: InFlight) -> None:

@@ -4,7 +4,9 @@ The pipeline drives every model through the same hooks so that an
 experiment can swap designs without touching the core.  The contract:
 
 * ``dispatch`` is called in program order when a memory instruction enters
-  the window; returning False stalls dispatch (structure full).
+  the window; returning False stalls dispatch (structure full) and must
+  leave the instruction untouched, because the pipeline retries the same
+  object.
 * ``address_ready`` is called once the effective address is computed; the
   model performs placement/disambiguation bookkeeping and sets
   ``ins.disamb_resolved`` on stores once they no longer block younger
@@ -17,7 +19,10 @@ experiment can swap designs without touching the core.  The contract:
 * ``record_location``/``on_l1_evict`` implement the SAMIE presentBit
   extension (no-ops elsewhere).
 * ``active_area`` reports the power-gated active area in um^2 for the
-  current cycle (the paper's leakage proxy).
+  current cycle (the paper's leakage proxy); ``area_breakdown`` splits
+  it per component.  The pipeline samples the breakdown every cycle
+  and tests it by identity: a model that caches it must return a new
+  dict after any change of the state it depends on.
 
 Energy is charged to the model's :class:`~repro.energy.accounting.
 EnergyAccount` as events happen; the pipeline owns D-cache/DTLB energy
@@ -53,7 +58,12 @@ class RouteKind(Enum):
 
 @dataclass(slots=True)
 class LoadRoute:
-    """Routing decision for one load access."""
+    """Routing decision for one load access.
+
+    CACHE routes are the shared :data:`CACHE_LOAD_ROUTES` constants and
+    FORWARD routes are built per load; no code mutates a route, and
+    none may.
+    """
 
     kind: RouteKind
     #: forwarding source (kind == FORWARD)
@@ -66,10 +76,26 @@ class LoadRoute:
 
 @dataclass(slots=True)
 class StoreRoute:
-    """Routing decision for one store's cache write at commit."""
+    """Routing decision for one store's cache write at commit.
+
+    Always one of the shared :data:`CACHE_STORE_ROUTES` constants; no
+    code mutates a route, and none may.
+    """
 
     way_known: bool = False
     skip_tlb: bool = False
+
+
+#: the shared CACHE routes, indexed ``[way_known][skip_tlb]``: the
+#: common per-access outcome allocates nothing
+CACHE_LOAD_ROUTES = tuple(
+    tuple(LoadRoute(RouteKind.CACHE, way_known=w, skip_tlb=t) for t in (False, True))
+    for w in (False, True)
+)
+CACHE_STORE_ROUTES = tuple(
+    tuple(StoreRoute(way_known=w, skip_tlb=t) for t in (False, True))
+    for w in (False, True)
+)
 
 
 @dataclass
@@ -106,7 +132,12 @@ class BaseLSQ(ABC):
     # -- lifecycle ---------------------------------------------------------
     @abstractmethod
     def dispatch(self, ins: InFlight) -> bool:
-        """Program-order entry of a memory instruction; False stalls."""
+        """Program-order entry of a memory instruction; False stalls.
+
+        A refusal must leave ``ins`` untouched -- no field written, no
+        statistic or energy charged -- because the pipeline keeps the
+        same object at the head of its fetch queue and retries it.
+        """
 
     @abstractmethod
     def address_ready(self, ins: InFlight) -> None:

@@ -34,7 +34,14 @@ from collections import deque
 from repro.core.inflight import InFlight
 from repro.energy.tables import CONVENTIONAL_LSQ_ENERGY as E
 from repro.energy.tables import entry_area_conventional
-from repro.lsq.base import BaseLSQ, LoadRoute, RouteKind, StoreRoute
+from repro.lsq.base import (
+    CACHE_LOAD_ROUTES,
+    CACHE_STORE_ROUTES,
+    BaseLSQ,
+    LoadRoute,
+    RouteKind,
+    StoreRoute,
+)
 
 #: aligned-word granularity of the forwarding index (8-byte rows, matching
 #: the synthetic ISA's maximum access size)
@@ -74,7 +81,7 @@ class ConventionalLSQ(BaseLSQ):
         if self.capacity is not None and len(self._ents) >= self.capacity:
             return False
         self._ents.append(ins)
-        (self._stores if ins.uop.is_store else self._loads).append(ins)
+        (self._stores if ins.is_store else self._loads).append(ins)
         self.stats.dispatched += 1
         ins.placement = self  # dispatched == placed for this design
         self._area_cache = None
@@ -95,7 +102,7 @@ class ConventionalLSQ(BaseLSQ):
         queued, so a bisect reproduces the linear scans retained in
         :class:`repro.lsq.reference.ReferenceConventionalLSQ`.
         """
-        if ins.uop.is_load:
+        if ins.is_load:
             return bisect_left(self._ready_store_seqs, ins.seq)
         ready_loads = self._ready_load_seqs
         return len(ready_loads) - bisect_right(ready_loads, ins.seq)
@@ -104,7 +111,7 @@ class ConventionalLSQ(BaseLSQ):
         # Address write into the CAM.
         self.energy.charge("lsq", E["addr_rw"])
         compared = self._count_comparisons(ins)
-        if ins.uop.is_load:
+        if ins.is_load:
             insort(self._ready_load_seqs, ins.seq)
         else:
             insort(self._ready_store_seqs, ins.seq)
@@ -145,13 +152,10 @@ class ConventionalLSQ(BaseLSQ):
             return False
         src = self._forward_source(ins)
         if src is None:
-            ins.wait_store = None
             return True
         if src.contains(ins):
-            ins.wait_store = None if src.store_data_ready else src
             return src.store_data_ready
         # Partial overlap: wait until the store commits and drains.
-        ins.wait_store = src
         return False
 
     def route_load(self, ins: InFlight) -> LoadRoute:
@@ -164,12 +168,12 @@ class ConventionalLSQ(BaseLSQ):
         self.energy.charge("lsq", E["datum_rw"])  # load result write
         self.stats.loads_from_cache += 1
         self.stats.full_cache_accesses += 1
-        return LoadRoute(RouteKind.CACHE)
+        return CACHE_LOAD_ROUTES[False][False]
 
     def route_store_commit(self, ins: InFlight) -> StoreRoute:
         self.energy.charge("lsq", E["datum_rw"])  # read datum for the write
         self.stats.full_cache_accesses += 1
-        return StoreRoute()
+        return CACHE_STORE_ROUTES[False][False]
 
     # -- release -------------------------------------------------------------
     def _drop_ready_seq(self, seqs: list[int], seq: int) -> None:
@@ -182,13 +186,13 @@ class ConventionalLSQ(BaseLSQ):
             self._ents.popleft()
         else:  # pragma: no cover - commit is in order by construction
             self._ents.remove(ins)
-        q = self._stores if ins.uop.is_store else self._loads
+        q = self._stores if ins.is_store else self._loads
         if q and q[0] is ins:
             q.popleft()
         else:  # pragma: no cover
             q.remove(ins)
         if ins.addr_ready:
-            if ins.uop.is_store:
+            if ins.is_store:
                 self._drop_ready_seq(self._ready_store_seqs, ins.seq)
                 for w in self._words_of(ins):
                     peers = self._store_words[w]

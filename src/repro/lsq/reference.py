@@ -2,12 +2,12 @@
 
 The hot-path overhaul (see ROADMAP.md "Performance") replaced the LSQ
 models' linear searches with O(1) line/word indexes and regrouped the
-SAMIE active-area sum into a closed form.  These subclasses retain the
-*original* linear-scan behaviour -- placement target selection, the
-youngest-older-overlapping forwarding search, fairness-rule comparison
-counts, and the sequential all-banks area walk -- while keeping the fast
-models' bookkeeping structures consistent, so either class can drive a
-full simulation.
+SAMIE active-area sum into a closed form over maintained integer terms.
+These subclasses retain the *original* linear-scan behaviour --
+placement target selection, the youngest-older-overlapping forwarding
+search, fairness-rule comparison counts, and the sequential all-banks
+area walk -- while keeping the fast models' bookkeeping structures
+consistent, so either class can drive a full simulation.
 
 ``tests/test_fastpath_reference.py`` runs identical fuzz programs through
 the fast and reference models across the verify-grid geometries and
@@ -46,7 +46,7 @@ class ReferenceConventionalLSQ(ConventionalLSQ):
 
     def _count_comparisons(self, ins: InFlight) -> int:
         # original linear fairness-rule counts
-        if ins.uop.is_load:
+        if ins.is_load:
             return sum(
                 1 for st in self._stores if st.seq < ins.seq and st.addr_ready
             )
@@ -75,10 +75,10 @@ class ReferenceSamieLSQ(SamieLSQ):
         out: list[InFlight] = []
         for entry in self._banks[self.bank_of(ins)]:
             if entry.line == line:
-                out.extend(s for s in entry.slots if s.uop.is_store)
+                out.extend(s for s in entry.slots if s.is_store)
         for entry in self._shared:
             if entry.line == line:
-                out.extend(s for s in entry.slots if s.uop.is_store)
+                out.extend(s for s in entry.slots if s.is_store)
         return out
 
     def _forward_source(self, ins: InFlight) -> InFlight | None:
@@ -109,8 +109,6 @@ class ReferenceSamieLSQ(SamieLSQ):
             target = SamieEntry(line, shared=False)
             bank.append(target)
             self._bank_lines[bank_idx].setdefault(line, []).append(target)
-            if len(bank) == 1:
-                self._active_banks[bank_idx] = bank
             if len(bank) == cfg.entries_per_bank:
                 self._full_banks += 1
             self.energy.charge("distrib", E_D["addr_rw"])
@@ -132,14 +130,14 @@ class ReferenceSamieLSQ(SamieLSQ):
             self.stats.placement_failures += 1
             return False
         target.slots.append(ins)
-        self._area_cache = None
+        self._slot_joined(target)
         ins.placement = target
         ins.in_addr_buffer = False
         self.energy.charge(
             "shared" if target.shared else "distrib",
             (E_S if target.shared else E_D)["age_rw"],
         )
-        if ins.uop.is_store:
+        if ins.is_store:
             ins.disamb_resolved = True
             if ins.store_data_ready:
                 self.energy.charge(
@@ -150,28 +148,34 @@ class ReferenceSamieLSQ(SamieLSQ):
         return True
 
     def area_breakdown(self) -> dict[str, float]:
-        # original sequential walk of every bank (the fast model batches
-        # the non-full banks' spare entries as one multiplication)
-        if self._area_cache is not None:
-            return self._area_cache
-        cfg = self.cfg
-        distrib = 0.0
-        for bank in self._banks:
-            for entry in bank:
-                slots = min(len(entry.slots) + 1, cfg.slots_per_entry)
-                distrib += self._area_entry_d + slots * self._area_slot_d
-            if len(bank) < cfg.entries_per_bank:  # one powered spare entry
-                distrib += self._area_entry_d + self._area_slot_d
-        shared = 0.0
-        for entry in self._shared:
-            slots = min(len(entry.slots) + 1, cfg.slots_per_entry)
-            shared += self._area_entry_s + slots * self._area_slot_s
-        if cfg.shared_entries is None or len(self._shared) < cfg.shared_entries:
-            shared += self._area_entry_s + self._area_slot_s
-        ab_slots = min(len(self._addr_buffer) + 4, cfg.addr_buffer_slots)
-        addrbuffer = ab_slots * self._area_slot_ab
-        self._area_cache = {"distrib": distrib, "shared": shared, "addrbuffer": addrbuffer}
+        # original sequential walk of every bank (the fast model keeps
+        # integer terms up to date and evaluates a closed form)
+        if self._area_cache is None:
+            self._area_cache = walked_area_breakdown(self)
         return self._area_cache
+
+
+def walked_area_breakdown(lsq: SamieLSQ) -> dict[str, float]:
+    """Active-area breakdown of a SAMIE model's current state, by a
+    sequential walk of every bank, entry and SharedLSQ entry -- the
+    oracle of :meth:`SamieLSQ.area_breakdown`'s closed form."""
+    cfg = lsq.cfg
+    distrib = 0.0
+    for bank in lsq._banks:
+        for entry in bank:
+            slots = min(len(entry.slots) + 1, cfg.slots_per_entry)
+            distrib += lsq._area_entry_d + slots * lsq._area_slot_d
+        if len(bank) < cfg.entries_per_bank:  # one powered spare entry
+            distrib += lsq._area_entry_d + lsq._area_slot_d
+    shared = 0.0
+    for entry in lsq._shared:
+        slots = min(len(entry.slots) + 1, cfg.slots_per_entry)
+        shared += lsq._area_entry_s + slots * lsq._area_slot_s
+    if cfg.shared_entries is None or len(lsq._shared) < cfg.shared_entries:
+        shared += lsq._area_entry_s + lsq._area_slot_s
+    ab_slots = min(len(lsq._addr_buffer) + 4, cfg.addr_buffer_slots)
+    addrbuffer = ab_slots * lsq._area_slot_ab
+    return {"distrib": distrib, "shared": shared, "addrbuffer": addrbuffer}
 
 
 #: fast class -> retained reference class

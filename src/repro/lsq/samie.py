@@ -43,7 +43,14 @@ from repro.energy.tables import (
     slot_area_distrib,
     slot_area_shared,
 )
-from repro.lsq.base import BaseLSQ, LoadRoute, RouteKind, StoreRoute
+from repro.lsq.base import (
+    CACHE_LOAD_ROUTES,
+    CACHE_STORE_ROUTES,
+    BaseLSQ,
+    LoadRoute,
+    RouteKind,
+    StoreRoute,
+)
 
 
 @dataclass(frozen=True)
@@ -81,8 +88,10 @@ class SamieLSQ(BaseLSQ):
     __slots__ = (
         "cfg", "_banks", "_shared", "_bank_lines", "_shared_lines",
         "_addr_buffer", "need_flush", "_retry_ok", "_agu_reserved",
-        "_active_banks", "_full_banks",
-        "_area_cache", "shared_occupancy_counts",
+        "_full_banks",
+        "_distrib_entries", "_distrib_slot_terms", "_shared_slot_terms",
+        "_first_slot_term",
+        "_area_cache",
         "_area_entry_d", "_area_slot_d", "_area_entry_s", "_area_slot_s",
         "_area_slot_ab",
     )
@@ -104,11 +113,17 @@ class SamieLSQ(BaseLSQ):
             {} for _ in range(self.cfg.banks)
         ]
         self._shared_lines: dict[int, list[SamieEntry]] = {}
-        # active-area bookkeeping: banks with at least one entry (the area
-        # rebuild walks only these) and the count of completely full banks
-        # (the rest power one spare entry each)
-        self._active_banks: dict[int, list[SamieEntry]] = {}
+        # active-area bookkeeping: the count of completely full banks (the
+        # rest power one spare entry each), the DistribLSQ entries in use
+        # and, per structure, the powered slots of its entries: sum of
+        # min(slots + 1, slots_per_entry), kept up to date by
+        # _slot_joined/_slot_left
         self._full_banks = 0
+        self._distrib_entries = 0
+        self._distrib_slot_terms = 0
+        self._shared_slot_terms = 0
+        #: powered slots of a one-instruction entry
+        self._first_slot_term = min(2, self.cfg.slots_per_entry)
         self._addr_buffer: BoundedFIFO[InFlight] = BoundedFIFO(self.cfg.addr_buffer_slots)
         #: set when an address can be placed nowhere (AddrBuffer overflow);
         #: the pipeline must flush.
@@ -117,13 +132,9 @@ class SamieLSQ(BaseLSQ):
         self._retry_ok = True
         #: AddrBuffer slots reserved by in-flight address computations
         self._agu_reserved = 0
-        # cached active-area breakdown (contents change far less often
-        # than once per cycle, and the pipeline samples it every cycle)
+        # cached active-area breakdown, rebuilt (a new object) after any
+        # occupancy change: the pipeline's stage 8 tests it by identity
         self._area_cache: dict[str, float] | None = None
-        # occupancy telemetry for the sizing studies (Figures 3 and 4):
-        # a bounded streaming histogram {occupancy: samples} -- O(distinct
-        # occupancies) memory instead of one list element per cycle
-        self.shared_occupancy_counts: dict[int, int] = {}
         self._area_entry_d = entry_area_distrib()
         self._area_slot_d = slot_area_distrib()
         self._area_entry_s = entry_area_shared()
@@ -133,7 +144,7 @@ class SamieLSQ(BaseLSQ):
     # -- helpers -------------------------------------------------------------
     def line_of(self, ins: InFlight) -> int:
         """Cache-line address of a memory instruction."""
-        return ins.uop.addr >> self.cfg.line_shift
+        return ins.addr >> self.cfg.line_shift
 
     def bank_of(self, ins: InFlight) -> int:
         """DistribLSQ bank index for a memory instruction."""
@@ -171,7 +182,7 @@ class SamieLSQ(BaseLSQ):
 
     def _try_place(self, ins: InFlight, charge: bool = True) -> bool:
         """Attempt DistribLSQ/SharedLSQ placement; True on success."""
-        line = ins.uop.addr >> self.cfg.line_shift
+        line = ins.addr >> self.cfg.line_shift
         bank_idx = line % self.cfg.banks
         bank = self._banks[bank_idx]
         if charge:
@@ -191,8 +202,6 @@ class SamieLSQ(BaseLSQ):
             target = SamieEntry(line, shared=False)
             bank.append(target)
             lines.setdefault(line, []).append(target)
-            if len(bank) == 1:
-                self._active_banks[bank_idx] = bank
             if len(bank) == cfg.entries_per_bank:
                 self._full_banks += 1
             self.energy.charge("distrib", E_D["addr_rw"])
@@ -214,14 +223,14 @@ class SamieLSQ(BaseLSQ):
             self.stats.placement_failures += 1
             return False
         target.slots.append(ins)
-        self._area_cache = None
+        self._slot_joined(target)
         ins.placement = target
         ins.in_addr_buffer = False
         self.energy.charge(
             "shared" if target.shared else "distrib",
             (E_S if target.shared else E_D)["age_rw"],
         )
-        if ins.uop.is_store:
+        if ins.is_store:
             ins.disamb_resolved = True
             if ins.store_data_ready:
                 self.energy.charge(
@@ -230,6 +239,38 @@ class SamieLSQ(BaseLSQ):
                 )
         self.stats.placed += 1
         return True
+
+    def _slot_joined(self, entry: SamieEntry) -> None:
+        """Area terms after ``entry`` gained an instruction."""
+        k = len(entry.slots)
+        if k == 1:
+            if entry.shared:
+                self._shared_slot_terms += self._first_slot_term
+            else:
+                self._distrib_entries += 1
+                self._distrib_slot_terms += self._first_slot_term
+        elif k < self.cfg.slots_per_entry:  # min(k + 1, S) grew by one
+            if entry.shared:
+                self._shared_slot_terms += 1
+            else:
+                self._distrib_slot_terms += 1
+        self._area_cache = None
+
+    def _slot_left(self, entry: SamieEntry) -> None:
+        """Area terms before ``entry`` loses an instruction."""
+        k = len(entry.slots)
+        if k == 1:
+            if entry.shared:
+                self._shared_slot_terms -= self._first_slot_term
+            else:
+                self._distrib_entries -= 1
+                self._distrib_slot_terms -= self._first_slot_term
+        elif k < self.cfg.slots_per_entry:
+            if entry.shared:
+                self._shared_slot_terms -= 1
+            else:
+                self._distrib_slot_terms -= 1
+        self._area_cache = None
 
     # -- lifecycle ---------------------------------------------------------
     def dispatch(self, ins: InFlight) -> bool:
@@ -282,32 +323,21 @@ class SamieLSQ(BaseLSQ):
         # the head-first drain charges energy per attempted cycle
         return not self._addr_buffer._buf or not self._retry_ok
 
-    def sample_occupancy(self) -> None:
-        """Record per-cycle SharedLSQ occupancy (sizing studies).
-
-        Streams into a bounded ``{occupancy: samples}`` histogram --
-        O(distinct occupancy values) memory regardless of run length,
-        unlike the old per-cycle sample list.
-        """
-        occ = len(self._shared)
-        counts = self.shared_occupancy_counts
-        counts[occ] = counts.get(occ, 0) + 1
-
     # -- load scheduling -----------------------------------------------------
     def _matching_stores(self, ins: InFlight) -> list[InFlight]:
         line = self.line_of(ins)
         out: list[InFlight] = []
         for entry in self._bank_lines[self.bank_of(ins)].get(line, ()):
-            out.extend(s for s in entry.slots if s.uop.is_store)
+            out.extend(s for s in entry.slots if s.is_store)
         for entry in self._shared_lines.get(line, ()):
-            out.extend(s for s in entry.slots if s.uop.is_store)
+            out.extend(s for s in entry.slots if s.is_store)
         return out
 
     def _forward_source(self, ins: InFlight) -> InFlight | None:
         """Youngest older overlapping store to ``ins``'s line, via the
         line index (selection by max age is order-independent, so this
         matches the old linear ``youngest_older_overlapping`` scan)."""
-        line = ins.uop.addr >> self.cfg.line_shift
+        line = ins.addr >> self.cfg.line_shift
         seq = ins.seq
         b0 = ins.byte0
         b1 = ins.byte1
@@ -320,7 +350,7 @@ class SamieLSQ(BaseLSQ):
             for st in entry.slots:
                 if (
                     best_seq < st.seq < seq
-                    and st.uop.is_store
+                    and st.is_store
                     and st.addr_ready
                     and st.byte0 < b1
                     and b0 < st.byte1
@@ -366,7 +396,7 @@ class SamieLSQ(BaseLSQ):
         if skip_tlb:
             pj[cat] += tab["tlb_translation_rw"]  # read cached translation
             stats.tlb_skipped_accesses += 1
-        return LoadRoute(RouteKind.CACHE, way_known=way_known, skip_tlb=skip_tlb)
+        return CACHE_LOAD_ROUTES[way_known][skip_tlb]
 
     def route_store_commit(self, ins: InFlight) -> StoreRoute:
         entry: SamieEntry = ins.placement
@@ -374,7 +404,7 @@ class SamieLSQ(BaseLSQ):
         cat = "shared" if entry.shared else "distrib"
         self.energy._pj[cat] += tab["datum_rw"]  # read datum for the write
         r = self._cache_route(entry, tab, cat)
-        return StoreRoute(way_known=r.way_known, skip_tlb=r.skip_tlb)
+        return CACHE_STORE_ROUTES[r.way_known][r.skip_tlb]
 
     def store_data_arrived(self, ins: InFlight) -> None:
         """Charge the datum write when a placed store's value arrives."""
@@ -423,6 +453,7 @@ class SamieLSQ(BaseLSQ):
         entry: SamieEntry | None = ins.placement
         if entry is None:  # pragma: no cover - commit requires placement
             raise RuntimeError("committing an unplaced memory instruction")
+        self._slot_left(entry)
         entry.slots.remove(ins)
         if not entry.slots:
             if entry.shared:
@@ -434,23 +465,22 @@ class SamieLSQ(BaseLSQ):
                 if len(bank) == self.cfg.entries_per_bank:
                     self._full_banks -= 1
                 bank.remove(entry)
-                if not bank:
-                    del self._active_banks[bank_idx]
                 index = self._bank_lines[bank_idx]
             peers = index[entry.line]
             peers.remove(entry)
             if not peers:
                 del index[entry.line]
         self._retry_ok = True  # capacity freed: wake the AddrBuffer
-        self._area_cache = None
 
     def flush(self) -> None:
         for bank in self._banks:
             bank.clear()
         for lines in self._bank_lines:
             lines.clear()
-        self._active_banks.clear()
         self._full_banks = 0
+        self._distrib_entries = 0
+        self._distrib_slot_terms = 0
+        self._shared_slot_terms = 0
         self._shared.clear()
         self._shared_lines.clear()
         self._addr_buffer.clear()
@@ -484,35 +514,30 @@ class SamieLSQ(BaseLSQ):
         return sum(self.area_breakdown().values())
 
     def area_breakdown(self) -> dict[str, float]:
-        # Closed form over the in-use entries only: one powered spare entry
-        # per non-full bank is batched as `count * spare`, and only active
-        # banks are walked for per-entry terms.  This regroups the float
-        # sum relative to a sequential walk of all banks -- exact, because
-        # the Table 5 areas are integral um^2 (guarded by
-        # tests/test_bit_identity.py), so every partial sum is an integer
-        # far below 2**53 and addition never rounds.
+        # O(1) closed form over integer terms kept up to date by
+        # placement, commit and flush: one powered spare entry per
+        # non-full bank, the in-use entries, and their powered slots
+        # (sum of min(slots + 1, slots_per_entry)).  This regroups the
+        # float sum relative to a sequential walk of all banks (the
+        # oracle in repro.lsq.reference) -- exact, because the Table 5
+        # areas are integral um^2 (guarded by tests/test_bit_identity.py),
+        # so every partial sum is an integer far below 2**53 and
+        # addition never rounds.
         if self._area_cache is not None:
             return self._area_cache
         cfg = self.cfg
-        max_slots = cfg.slots_per_entry
         entry_d = self._area_entry_d
         slot_d = self._area_slot_d
-        distrib = (cfg.banks - self._full_banks) * (entry_d + slot_d)
-        for bank in self._active_banks.values():
-            for entry in bank:
-                slots = len(entry.slots) + 1
-                if slots > max_slots:
-                    slots = max_slots
-                distrib += entry_d + slots * slot_d
+        distrib = (
+            (cfg.banks - self._full_banks) * (entry_d + slot_d)
+            + self._distrib_entries * entry_d
+            + self._distrib_slot_terms * slot_d
+        )
         entry_s = self._area_entry_s
         slot_s = self._area_slot_s
-        shared = 0.0
-        for entry in self._shared:
-            slots = len(entry.slots) + 1
-            if slots > max_slots:
-                slots = max_slots
-            shared += entry_s + slots * slot_s
-        if cfg.shared_entries is None or len(self._shared) < cfg.shared_entries:
+        n_shared = len(self._shared)
+        shared = n_shared * entry_s + self._shared_slot_terms * slot_s
+        if cfg.shared_entries is None or n_shared < cfg.shared_entries:
             shared += entry_s + slot_s
         ab_slots = len(self._addr_buffer._buf) + 4
         if ab_slots > cfg.addr_buffer_slots:
@@ -535,7 +560,7 @@ class SamieLSQ(BaseLSQ):
 
     def distrib_entries_in_use(self) -> int:
         """DistribLSQ entries currently allocated."""
-        return sum(len(b) for b in self._banks)
+        return self._distrib_entries
 
     def addr_buffer_len(self) -> int:
         """Instructions currently parked in the AddrBuffer."""

@@ -36,7 +36,12 @@ class CacheStats:
 
 @dataclass(slots=True)
 class AccessResult:
-    """Outcome of one cache access."""
+    """Outcome of one cache access.
+
+    A hit returns the shared per-(set, way) instance built with its set
+    (:meth:`Cache._build_set`); a miss builds a fresh one.  No code
+    mutates a result, and none may.
+    """
 
     hit: bool
     set_index: int
@@ -48,14 +53,16 @@ class AccessResult:
 
 
 class _Line:
-    __slots__ = ("tag", "valid", "dirty", "present_bit", "lru")
+    __slots__ = ("tag", "valid", "dirty", "present_bit", "lru", "hit")
 
-    def __init__(self):
+    def __init__(self, hit: AccessResult):
         self.tag = 0
         self.valid = False
         self.dirty = False
         self.present_bit = False
         self.lru = 0
+        #: the shared outcome of a hit on this (set, way)
+        self.hit = hit
 
 
 class Cache:
@@ -96,8 +103,11 @@ class Cache:
         self.on_evict = on_evict
 
     def _build_set(self, set_idx: int) -> list[_Line]:
-        """Build the (all invalid) way list of an untouched set."""
-        s = self._sets[set_idx] = [_Line() for _ in range(self.assoc)]
+        """Build the (all invalid) way list of an untouched set, with
+        each way's shared hit outcome."""
+        s = self._sets[set_idx] = [
+            _Line(AccessResult(True, set_idx, w)) for w in range(self.assoc)
+        ]
         return s
 
     # -- address decomposition -------------------------------------------
@@ -130,13 +140,13 @@ class Cache:
         if s is None:
             s = self._build_set(set_idx)
         tag = line_addr >> self.set_bits
-        for w, line in enumerate(s):
+        for line in s:
             if line.valid and line.tag == tag:
                 self.stats.hits += 1
                 line.lru = self._clock
                 if write:
                     line.dirty = True
-                return AccessResult(True, set_idx, w)
+                return line.hit
         # miss: allocate into the LRU way
         self.stats.misses += 1
         victim_way = 0

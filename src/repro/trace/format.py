@@ -45,7 +45,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.isa.opclasses import OpClass
+from repro.isa.opclasses import OP_BY_CODE
 from repro.isa.uop import UOp
 
 MAGIC = b"UOPTRACE"
@@ -121,9 +121,6 @@ def _pack(uop: UOp) -> bytes:
         1 if uop.taken else 0,
     )
 
-
-#: index -> OpClass, avoiding the (slower) enum value lookup in hot loops
-_OP_BY_INDEX = {int(op): op for op in OpClass}
 
 
 class TraceWriter:
@@ -362,7 +359,7 @@ class TraceReader:
         return raw
 
     def __iter__(self) -> Iterator[UOp]:
-        ops = _OP_BY_INDEX
+        ops = OP_BY_CODE
         make = UOp
         while True:
             raw = self._next_frame()
@@ -409,9 +406,12 @@ class TraceStream:
     :class:`TraceReader`; :meth:`take_batch` additionally drains up to
     ``n`` records *from the same cursor* as a numpy record array
     (:func:`record_dtype` layout, zero-copy views of the frame bytes)
-    without constructing UOp objects -- the sampled-replay skip path.
-    The two access styles may be freely interleaved; footer integrity
-    checks are inherited from the underlying reader.
+    without constructing UOp objects.  The sampled-replay skip path
+    uses it, and so does the pipeline's fetch stage, which therefore
+    reads a trace up to one batch (256 records) ahead of the
+    instructions it has fetched.  The two access styles may be freely
+    interleaved; footer integrity checks are inherited from the
+    underlying reader.
     """
 
     def __init__(self, path: str, strict: bool = True):
@@ -476,7 +476,7 @@ class TraceStream:
         seq = self._seq
         self._seq = seq + 1
         self._idx += 1
-        return UOp(seq, pc, _OP_BY_INDEX[op], src1=src1, src2=src2,
+        return UOp(seq, pc, OP_BY_CODE[op], src1=src1, src2=src2,
                    addr=addr, size=size, taken=flags == 1, target=target)
 
     def take_batch(self, max_records: int):

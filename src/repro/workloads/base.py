@@ -15,6 +15,7 @@ would destroy.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -76,6 +77,14 @@ class WorkloadProfile:
     )
     #: free-text note on what this profile models
     note: str = ""
+
+
+def _choice_cdf(probs: np.ndarray) -> list[float]:
+    """The normalized cdf ``Generator.choice(k, p=probs)`` searches: a
+    draw ``u = rng.random()`` picks ``bisect_right(cdf, u)``."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 class _Slot:
@@ -149,6 +158,11 @@ class TraceBuilder:
         compute_ops = list(p.compute_mix)
         compute_w = np.array([p.compute_mix[o] for o in compute_ops], dtype=float)
         compute_w /= compute_w.sum()
+        # weighted choices draw exactly as ``rng.choice(k, p=w)`` does
+        # (one random(), located in the normalized cdf) without
+        # re-validating ``w`` on every call
+        pattern_cdf = _choice_cdf(self._pattern_probs)
+        compute_cdf = _choice_cdf(compute_w)
         for i in range(total):
             pc = CODE_BASE + 4 * i
             last_in_block = (i + 1) % p.block_len == 0
@@ -175,11 +189,11 @@ class TraceBuilder:
                     if rng.random() < p.store_frac
                     else OpClass.LOAD
                 )
-                pat_idx = int(rng.choice(len(self._patterns), p=self._pattern_probs))
+                pat_idx = bisect_right(pattern_cdf, rng.random())
                 s.pattern = self._patterns[pat_idx][1]
             else:
                 s = _Slot("compute", pc)
-                s.op = compute_ops[int(rng.choice(len(compute_ops), p=compute_w))]
+                s.op = compute_ops[bisect_right(compute_cdf, rng.random())]
             slots.append(s)
         return slots
 
@@ -344,9 +358,10 @@ class SyntheticStream:
     ``next()`` yields :class:`~repro.isa.uop.UOp`\\ s.  :meth:`take_batch`
     drains the next ``n`` uops as one ``record_dtype()`` array without
     building any, like :meth:`repro.trace.format.TraceStream.take_batch`;
-    the sampled-replay skip path uses it.  Both read the same chunk of
-    executed records, so they may be freely interleaved, and every
-    consumption order sees the same stream.
+    the pipeline's fetch stage and the sampled-replay skip path use it,
+    and ``next()`` serves every other consumer.  Both read the same
+    chunk of executed records, so they may be freely interleaved, and
+    every consumption order sees the same stream.
     """
 
     def __init__(self, builder: TraceBuilder):

@@ -153,10 +153,10 @@ def make_trace(name: str, seed: int = 1) -> Iterator[UOp]:
 
 
 def _replay_trace(path: str) -> Iterator[UOp]:
-    # TraceStream (not a plain generator): the sampled-replay path probes
-    # for its take_batch so skip gaps decode as columnar batches; the
-    # stream closes its file handle on exhaustion and on GC when the
-    # pipeline abandons it early
+    # TraceStream (not a plain generator): fetch and the sampled-replay
+    # skip path probe for its take_batch, so records decode as columnar
+    # batches; the stream closes its file handle when next() exhausts
+    # it and on GC when the pipeline abandons it
     from repro.trace.format import TraceStream
 
     return TraceStream(path)

@@ -76,7 +76,7 @@ def mk_mem(
     data_ready: bool = True,
 ) -> InFlight:
     """In-flight memory instruction in the post-AGU state (LSQ unit tests)."""
-    ins = InFlight(mk_uop(op, seq=seq, addr=addr, size=size))
+    ins = InFlight.from_uop(mk_uop(op, seq=seq, addr=addr, size=size))
     ins.addr_ready = addr_ready
     if op is OpClass.STORE:
         ins.store_data_ready = data_ready

@@ -11,7 +11,7 @@ from tests.conftest import mk_uop
 
 
 def ins(seq: int, op=OpClass.INT_ALU) -> InFlight:
-    return InFlight(mk_uop(op, seq=seq))
+    return InFlight.from_uop(mk_uop(op, seq=seq))
 
 
 class TestReorderBuffer:
@@ -138,16 +138,16 @@ class TestFuncUnitPool:
 
 class TestInFlight:
     def test_overlap_and_containment(self):
-        a = InFlight(mk_uop(OpClass.STORE, seq=0, addr=0x100, size=8))
-        b = InFlight(mk_uop(OpClass.LOAD, seq=1, addr=0x104, size=4))
-        c = InFlight(mk_uop(OpClass.LOAD, seq=2, addr=0x108, size=4))
+        a = InFlight.from_uop(mk_uop(OpClass.STORE, seq=0, addr=0x100, size=8))
+        b = InFlight.from_uop(mk_uop(OpClass.LOAD, seq=1, addr=0x104, size=4))
+        c = InFlight.from_uop(mk_uop(OpClass.LOAD, seq=2, addr=0x108, size=4))
         assert a.overlaps(b) and b.overlaps(a)
         assert a.contains(b) and not b.contains(a)
         assert not a.overlaps(c)
 
     def test_byte_range(self):
-        a = InFlight(mk_uop(OpClass.LOAD, seq=0, addr=0x10, size=4))
+        a = InFlight.from_uop(mk_uop(OpClass.LOAD, seq=0, addr=0x10, size=4))
         assert a.byte_range() == (0x10, 0x14)
 
     def test_seq_property(self):
-        assert InFlight(mk_uop(seq=42)).seq == 42
+        assert InFlight.from_uop(mk_uop(seq=42)).seq == 42

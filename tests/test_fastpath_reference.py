@@ -79,9 +79,9 @@ def test_fault_injection_blinds_reference_models():
     from repro.verify.diff import inject_fault
 
     q = ReferenceConventionalLSQ()
-    st = InFlight(UOp(0, 0, OpClass.STORE, addr=64, size=8))
+    st = InFlight.from_uop(UOp(0, 0, OpClass.STORE, addr=64, size=8))
     st.addr_ready = True
-    ld = InFlight(UOp(1, 4, OpClass.LOAD, addr=64, size=8))
+    ld = InFlight.from_uop(UOp(1, 4, OpClass.LOAD, addr=64, size=8))
     ld.addr_ready = True
     q.dispatch(st)
     q.dispatch(ld)

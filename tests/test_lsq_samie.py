@@ -1,10 +1,15 @@
 """Unit tests for the SAMIE-LSQ model (the paper's contribution)."""
 
+import itertools
+
 import pytest
 
+from repro.core.processor import build_processor, run_simulation
 from repro.isa.opclasses import OpClass
+from repro.isa.uop import UOp
 from repro.lsq.base import RouteKind
 from repro.lsq.samie import SamieConfig, SamieLSQ
+from repro.workloads.registry import make_trace
 from tests.conftest import mk_mem
 
 LINE = 32
@@ -401,19 +406,32 @@ class TestEnergyAndArea:
             assert q.occupancy() == n
 
     def test_shared_occupancy_sampling(self):
-        q = make(shared=2)
-        q.sample_occupancy()
-        place(q, OpClass.LOAD, 0, addr_for_bank(0, line_idx=0))
-        q.sample_occupancy()
-        # streaming histogram: both cycles saw zero SharedLSQ entries
-        assert q.shared_occupancy_counts == {0: 2}
+        # the pipeline's stage 8 samples SharedLSQ occupancy every cycle;
+        # loads spread one line per bank never need the SharedLSQ
+        def line_per_bank():
+            for seq in itertools.count():
+                yield UOp(seq, 0x400000 + 4 * (seq % 16), OpClass.LOAD,
+                          addr=LINE * (seq % 64), size=8)
+
+        r = run_simulation(line_per_bank(), lsq=SamieLSQ(SamieConfig(shared_entries=2)),
+                           max_instructions=400)
+        assert r.instructions >= 400
+        assert r.shared_occupancy_mean == 0.0
+        assert r.shared_occupancy_p99 == 0
 
     def test_shared_occupancy_sampling_is_bounded(self):
-        # O(distinct occupancies) memory regardless of how long we sample
-        q = make(shared=4, banks=2, entries=1, slots=1)
-        for i in range(4):
-            place(q, OpClass.LOAD, i, addr_for_bank(0, line_idx=i))
-        for _ in range(10_000):
-            q.sample_occupancy()
-        assert len(q.shared_occupancy_counts) <= 5
-        assert sum(q.shared_occupancy_counts.values()) == 10_000
+        # a pressured tiny geometry fills the SharedLSQ; the histogram
+        # has a fixed bucket count however long the run, and every
+        # measured cycle is one sample at most shared_entries
+        cfg = SamieConfig(banks=4, entries_per_bank=1, slots_per_entry=1,
+                          shared_entries=4, addr_buffer_slots=16)
+        pipe = build_processor(SamieLSQ(cfg))
+        pipe.attach_trace(make_trace("ammp"))
+        r = pipe.run(1500, warmup=500)
+        hist = pipe.shared_occ_hist
+        assert len(hist.buckets) == hist.max_value + 1
+        assert hist.count == r.cycles
+        assert hist.overflow == 0
+        assert all(c == 0 for c in hist.buckets[cfg.shared_entries + 1:])
+        assert 0.0 < r.shared_occupancy_mean <= cfg.shared_entries
+        assert 0 < r.shared_occupancy_p99 <= cfg.shared_entries
