@@ -3,15 +3,16 @@
 
 Measures detailed-model simulation speed (committed uops per wall-clock
 second) for each LSQ kind across a set of workloads at test scale, plus a
-cycle-loop stage breakdown and a sampled-replay section (one cell per
-warm engine over a recorded trace at a SMARTS-regime plan), and emits a
-machine-readable ``BENCH_core.json`` so every PR lands on a recorded
-perf baseline.
+sampled-replay section (one cell per warm engine over a recorded trace at
+a SMARTS-regime plan), and emits a machine-readable ``BENCH_core.json``
+so every PR lands on a recorded perf baseline.  Per-stage attribution is
+``repro run --profile`` and the ``perfbench/`` traced runs, not this
+file.
 
 To refresh the committed baseline after an intentional perf change::
 
     PYTHONPATH=src python benchmarks/bench_core.py -o BENCH_core.json \
-        --repeat 5 --breakdown
+        --repeat 5
 
 Usage::
 
@@ -46,7 +47,6 @@ import time
 
 from repro.core.processor import build_processor
 from repro.experiments.runner import build_lsq, lsq_spec
-from repro.obs.profile import STAGE_METHODS, wrap_stages
 from repro.workloads.registry import make_trace
 
 #: the measured grid: every LSQ kind the paper evaluates
@@ -92,23 +92,6 @@ def _run_once(spec, workload: str, n: int, warmup: int, seed: int = 1):
     return time.perf_counter() - t0, result
 
 
-def _stage_breakdown(spec, workload: str, n: int, warmup: int, seed: int = 1):
-    """Wall time per pipeline stage (wrapping slows the run; relative only).
-
-    Stage wrapping lives in :mod:`repro.obs.profile` (the ``repro run
-    --profile`` machinery); this keeps the bench's JSON schema.
-    """
-    pipe = build_processor(build_lsq(spec))
-    pipe.attach_trace(make_trace(workload, seed))
-    acc: dict[str, float] = {}
-    wrap_stages(pipe, acc)
-    t0 = time.perf_counter()
-    pipe.run(n, warmup=warmup)
-    total = time.perf_counter() - t0
-    acc["other"] = max(0.0, total - sum(acc.values()))
-    return {k: round(v / total, 4) for k, v in acc.items()} if total else acc
-
-
 #: sampled-replay throughput cells: SMARTS-regime plan on a recorded
 #: trace, one cell per warm engine.  The period is deliberately long
 #: (1.5% simulated in detail) -- that is the regime sampling exists for,
@@ -140,16 +123,11 @@ def _sampled_section(repeat: int) -> list[dict]:
 
     spec = lsq_spec("samie")
     plan = SamplePlan(*SAMPLED_PLAN)
-    variants = [("sampled-scalar", "scalar", False)]
-    try:
-        import numpy  # noqa: F401
-
-        best_engine = "vector"
-        variants.append(("sampled-vector", "vector", False))
-    except ImportError:  # pragma: no cover - numpy is a test-tier dep
-        best_engine = "scalar"
-        print("numpy unavailable: skipping the sampled-vector cell")
-    variants.append(("sampled-skip", best_engine, True))
+    variants = [
+        ("sampled-scalar", "scalar", False),
+        ("sampled-vector", "vector", False),
+        ("sampled-skip", "vector", True),
+    ]
     results = []
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "swim.uoptrace")
@@ -166,7 +144,7 @@ def _sampled_section(repeat: int) -> list[dict]:
                                   warm_engine=eng)
                 secs = time.perf_counter() - t0
                 best = secs if best is None else min(best, secs)
-            consumed = sim.extra["sampling"]["source_uops_consumed"]
+            consumed = sim.telemetry()["sampling"]["source_uops_consumed"]
             cell = {
                 "lsq": spec[0],
                 "workload": cell_name,
@@ -184,15 +162,14 @@ def _sampled_section(repeat: int) -> list[dict]:
                 flush=True,
             )
     by_name = {c["workload"]: c["uops_per_sec"] for c in results}
-    if "sampled-vector" in by_name:
-        ratio = by_name["sampled-vector"] / by_name["sampled-scalar"]
-        print(f"sampled vector/scalar speedup: {ratio:.2f}x")
-    base = by_name.get("sampled-vector", by_name["sampled-scalar"])
-    print(f"sampled event-skip speedup: {by_name['sampled-skip'] / base:.2f}x")
+    ratio = by_name["sampled-vector"] / by_name["sampled-scalar"]
+    print(f"sampled vector/scalar speedup: {ratio:.2f}x")
+    skip = by_name["sampled-skip"] / by_name["sampled-vector"]
+    print(f"sampled event-skip speedup: {skip:.2f}x")
     return results
 
 
-def measure(workloads, n: int, warmup: int, repeat: int, breakdown: bool):
+def measure(workloads, n: int, warmup: int, repeat: int):
     """Measure the full grid; returns the BENCH_core document."""
     results = []
     for spec in MACHINES:
@@ -233,14 +210,13 @@ def measure(workloads, n: int, warmup: int, repeat: int, breakdown: bool):
         "skip_over_scalar": round(
             sampled["sampled-skip"] / sampled["sampled-scalar"], 3
         ),
-    }
-    if "sampled-vector" in sampled:
-        speedups["vector_over_scalar"] = round(
+        "vector_over_scalar": round(
             sampled["sampled-vector"] / sampled["sampled-scalar"], 3
-        )
-        speedups["skip_over_vector"] = round(
+        ),
+        "skip_over_vector": round(
             sampled["sampled-skip"] / sampled["sampled-vector"], 3
-        )
+        ),
+    }
     score = host_score()
     doc = {
         "meta": {
@@ -257,11 +233,6 @@ def measure(workloads, n: int, warmup: int, repeat: int, breakdown: bool):
         "results": results,
     }
     print(f"host calibration: {score:.0f} kernel iters/s")
-    if breakdown:
-        doc["cycle_loop_breakdown"] = {
-            spec[0]: _stage_breakdown(spec, workloads[0], n, warmup)
-            for spec in MACHINES
-        }
     return doc
 
 
@@ -308,8 +279,6 @@ def main(argv=None) -> int:
     ap.add_argument("--instructions", type=int, default=6000)
     ap.add_argument("--warmup", type=int, default=1000)
     ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--breakdown", action="store_true",
-                    help="also record a per-stage cycle-loop time breakdown")
     ap.add_argument("--baseline", metavar="PATH",
                     help="compare against this BENCH_core.json; exit 1 on "
                          "regression beyond --tolerance")
@@ -319,7 +288,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     doc = measure(args.workloads, args.instructions, args.warmup,
-                  args.repeat, args.breakdown)
+                  args.repeat)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -92,7 +92,7 @@ def test_bench_sampled_speedup(benchmark, tmp_path):
 
     res = benchmark.pedantic(sampled, rounds=1, iterations=1, warmup_rounds=0)
     err = attach_error(res, full)
-    s = res.extra["sampling"]
+    s = res.telemetry()["sampling"]
     benchmark.extra_info.update({
         "full_ipc": round(full.ipc, 4),
         "sampled_ipc": round(res.ipc, 4),

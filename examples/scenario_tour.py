@@ -98,7 +98,7 @@ def main() -> int:
     sampled = run_spec(SimSpec.make(
         "scenario:phase_ping_pong", MACHINE_SAMIE, 3000, 0,
         sample=(2000, 300, 500)))
-    phases = sampled.extra["sampling"]["phases"]
+    phases = sampled.telemetry()["sampling"]["phases"]
     print(f"\n== sampled phase report: consumed={phases['consumed']} "
           f"switches={phases['switches']}")
     assert phases["switches"] >= 1, "sampled run never switched phase"

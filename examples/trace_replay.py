@@ -75,7 +75,7 @@ def main() -> None:
     sampled = run_sampled(pipe, make_trace(spec_name(path)), plan)
     dt = time.perf_counter() - t0
     err = attach_error(sampled, live)
-    s = sampled.extra["sampling"]
+    s = sampled.telemetry()["sampling"]
     print(f"== sampled replay (ratio {plan.ratio:.0%}, plan "
           f"{plan.period}/{plan.warmup}/{plan.measure}) ==")
     print(f"windows={s['windows']} measured={s['measured_instructions']} "

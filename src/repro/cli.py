@@ -124,7 +124,7 @@ def _print_result(workload: str, res) -> None:
     )
     for cat, pj in sorted(res.lsq_energy_pj.items()):
         print(f"    {cat}: {pj / 1e3:.1f} nJ")
-    sampling = res.extra.get("sampling") if res.extra else None
+    sampling = res.telemetry().get("sampling")
     if sampling:
         print(
             f"  sampling: ratio={sampling['ratio']:.3f} "

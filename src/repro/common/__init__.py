@@ -1,28 +1,15 @@
 """Shared low-level utilities: bit manipulation, queues, RNG, statistics."""
 
-from repro.common.bitutils import (
-    align_down,
-    align_up,
-    bits_for,
-    is_pow2,
-    ilog2,
-    mask,
-)
-from repro.common.queues import RingBuffer, BoundedFIFO
-from repro.common.stats import Counter, RunningMean, Histogram
+from repro.common.bitutils import is_pow2, ilog2
+from repro.common.queues import BoundedFIFO
+from repro.common.stats import Counter, Histogram
 from repro.common.rng import make_rng, derive_seed
 
 __all__ = [
-    "align_down",
-    "align_up",
-    "bits_for",
     "is_pow2",
     "ilog2",
-    "mask",
-    "RingBuffer",
     "BoundedFIFO",
     "Counter",
-    "RunningMean",
     "Histogram",
     "make_rng",
     "derive_seed",

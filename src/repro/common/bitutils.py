@@ -24,26 +24,3 @@ def ilog2(x: int) -> int:
         raise ValueError(f"expected a positive power of two, got {x!r}")
     return x.bit_length() - 1
 
-
-def bits_for(n: int) -> int:
-    """Number of bits needed to encode ``n`` distinct values (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"expected n >= 1, got {n!r}")
-    return max(1, (n - 1).bit_length())
-
-
-def mask(nbits: int) -> int:
-    """Bit mask with the ``nbits`` low bits set."""
-    if nbits < 0:
-        raise ValueError(f"expected nbits >= 0, got {nbits!r}")
-    return (1 << nbits) - 1
-
-
-def align_down(addr: int, granule: int) -> int:
-    """Align ``addr`` down to a power-of-two ``granule``."""
-    return addr & ~(granule - 1)
-
-
-def align_up(addr: int, granule: int) -> int:
-    """Align ``addr`` up to a power-of-two ``granule``."""
-    return (addr + granule - 1) & ~(granule - 1)

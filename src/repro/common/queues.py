@@ -1,8 +1,10 @@
-"""Fixed-capacity queue structures used by the pipeline model.
+"""Fixed-capacity FIFO for the SAMIE AddrBuffer.
 
-The reorder buffer, fetch queue and AddrBuffer are all bounded in the
-modelled hardware; these containers make the bounds explicit and raise on
-misuse rather than silently growing, which keeps the timing model honest.
+The modelled AddrBuffer is bounded in hardware; this container makes the
+bound explicit so insertion fails rather than silently growing, which
+keeps the timing model honest.  The other bounded pipeline structures
+(ROB, fetch queue) are plain deques whose capacity the cycle loop
+checks itself.
 """
 
 from __future__ import annotations
@@ -13,93 +15,13 @@ from typing import Generic, Iterator, TypeVar
 T = TypeVar("T")
 
 
-class RingBuffer(Generic[T]):
-    """A bounded ring buffer with O(1) append/popleft and stable iteration.
-
-    Iteration yields elements oldest-first, which mirrors age-ordered
-    priority in the modelled structures.  The hot-path structures that
-    used to build on it (ROB, fetch queue, AddrBuffer) moved to
-    ``collections.deque`` with explicit capacity checks for speed; this
-    class stays as the general-purpose bounded ring (random access via
-    ``__getitem__``, preallocated storage) for non-hot-path users.
-    """
-
-    __slots__ = ("_buf", "_cap", "_head", "_size")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._cap = capacity
-        self._buf: list[T | None] = [None] * capacity
-        self._head = 0  # index of the oldest element
-        self._size = 0
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of elements the buffer can hold."""
-        return self._cap
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def free(self) -> int:
-        """Number of unoccupied positions."""
-        return self._cap - self._size
-
-    def is_full(self) -> bool:
-        """True when no more elements can be appended."""
-        return self._size == self._cap
-
-    def append(self, item: T) -> None:
-        """Insert at the tail. Raises ``OverflowError`` when full."""
-        if self._size == self._cap:
-            raise OverflowError("ring buffer full")
-        self._buf[(self._head + self._size) % self._cap] = item
-        self._size += 1
-
-    def popleft(self) -> T:
-        """Remove and return the oldest element."""
-        if self._size == 0:
-            raise IndexError("pop from empty ring buffer")
-        item = self._buf[self._head]
-        self._buf[self._head] = None
-        self._head = (self._head + 1) % self._cap
-        self._size -= 1
-        return item  # type: ignore[return-value]
-
-    def peek(self) -> T:
-        """Return the oldest element without removing it."""
-        if self._size == 0:
-            raise IndexError("peek on empty ring buffer")
-        return self._buf[self._head]  # type: ignore[return-value]
-
-    def clear(self) -> None:
-        """Drop all elements (pipeline flush)."""
-        for i in range(self._size):
-            self._buf[(self._head + i) % self._cap] = None
-        self._head = 0
-        self._size = 0
-
-    def __iter__(self) -> Iterator[T]:
-        for i in range(self._size):
-            yield self._buf[(self._head + i) % self._cap]  # type: ignore[misc]
-
-    def __getitem__(self, i: int) -> T:
-        if not -self._size <= i < self._size:
-            raise IndexError(i)
-        if i < 0:
-            i += self._size
-        return self._buf[(self._head + i) % self._cap]  # type: ignore[return-value]
-
-
 class BoundedFIFO(Generic[T]):
     """A FIFO with a hard capacity and non-throwing ``try_push``.
 
     Models the SAMIE AddrBuffer: a cheap structure with no associative
     search, where insertion simply fails when the buffer is full.  Backed
-    by a :class:`collections.deque` (polled every cycle by the pipeline)
-    with an explicit capacity check.
+    by a :class:`collections.deque` exposed as ``_buf``, which the SAMIE
+    model polls and drains head-first every cycle.
     """
 
     __slots__ = ("_buf", "capacity")
@@ -113,24 +35,12 @@ class BoundedFIFO(Generic[T]):
     def __len__(self) -> int:
         return len(self._buf)
 
-    def is_full(self) -> bool:
-        """True when ``try_push`` would fail."""
-        return len(self._buf) >= self.capacity
-
     def try_push(self, item: T) -> bool:
         """Append ``item`` if space is available; return success."""
         if len(self._buf) >= self.capacity:
             return False
         self._buf.append(item)
         return True
-
-    def pop(self) -> T:
-        """Remove and return the oldest element."""
-        return self._buf.popleft()
-
-    def peek(self) -> T:
-        """Return the oldest element without removing it."""
-        return self._buf[0]
 
     def clear(self) -> None:
         """Drop all elements."""

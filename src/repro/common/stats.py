@@ -7,8 +7,6 @@ of events; these classes keep that O(1) per event with no growing storage
 
 from __future__ import annotations
 
-from typing import Iterable
-
 
 class Counter:
     """Named monotonically increasing event counter."""
@@ -31,31 +29,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
-
-
-class RunningMean:
-    """Streaming mean (and sum) of a sequence of samples."""
-
-    __slots__ = ("count", "total")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-
-    def add(self, x: float, weight: int = 1) -> None:
-        """Accumulate ``x`` with an integer ``weight`` (e.g. cycles)."""
-        self.count += weight
-        self.total += x * weight
-
-    @property
-    def mean(self) -> float:
-        """Mean of all samples; 0.0 when empty."""
-        return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        """Forget all samples."""
-        self.count = 0
-        self.total = 0.0
 
 
 class Histogram:
@@ -116,17 +89,3 @@ class Histogram:
             if running >= need:
                 return v
         return self.max_value + 1
-
-    def merge(self, other: "Histogram") -> None:
-        """Accumulate another histogram with the same bounds into this one."""
-        if other.max_value != self.max_value:
-            raise ValueError("histogram bounds differ")
-        for i, c in enumerate(other.buckets):
-            self.buckets[i] += c
-        self.overflow += other.overflow
-
-    def items(self) -> Iterable[tuple[int, int]]:
-        """Yield (value, count) pairs for non-empty buckets."""
-        for v, c in enumerate(self.buckets):
-            if c:
-                yield v, c

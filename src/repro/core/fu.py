@@ -2,7 +2,9 @@
 
 Pipelined units (ALUs, multipliers) accept one operation per unit per
 cycle.  Non-pipelined operations (divides, Table 2) occupy their unit for
-the whole latency.
+the whole latency.  A pool is slotted state: the pipeline's issue stage
+claims units and :meth:`~repro.core.pipeline.Pipeline.step` releases
+them at the top of each cycle.
 """
 
 from __future__ import annotations
@@ -20,25 +22,6 @@ class FuncUnitPool:
         self.units = units
         self._issued_this_cycle = 0
         self._busy_until: list[int] = []  # completion cycles of non-pipelined ops
-
-    def new_cycle(self, cycle: int) -> None:
-        """Reset per-cycle issue bandwidth and release finished units."""
-        self._issued_this_cycle = 0
-        if self._busy_until:
-            self._busy_until = [c for c in self._busy_until if c > cycle]
-
-    def available(self) -> int:
-        """Units that can accept a new operation this cycle."""
-        return self.units - self._issued_this_cycle - len(self._busy_until)
-
-    def issue(self, cycle: int, latency: int, pipelined: bool) -> bool:
-        """Claim a unit; returns False when none is free."""
-        if self.available() <= 0:
-            return False
-        self._issued_this_cycle += 1
-        if not pipelined:
-            self._busy_until.append(cycle + latency)
-        return True
 
     def flush(self) -> None:
         """Release every unit (pipeline flush)."""

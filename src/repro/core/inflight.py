@@ -144,10 +144,6 @@ class InFlight:
             (rec["flags"] == 1).tolist(), rec["target"].tolist(),
         ))
 
-    def byte_range(self) -> tuple[int, int]:
-        """Half-open [start, end) byte range of a memory access."""
-        return self.byte0, self.byte1
-
     def overlaps(self, other: "InFlight") -> bool:
         """True when the byte ranges of two memory ops intersect."""
         return self.byte0 < other.byte1 and other.byte0 < self.byte1

@@ -3,12 +3,12 @@
 Two instances exist (INT and FP, 128 entries each per Table 2).  Entries
 whose dependences are satisfied sit in an age-ordered ready heap; issue
 pops oldest-first subject to functional-unit availability.  Entries leave
-the queue when issued.
+the queue when issued.  The queue is slotted state: dispatch, wake-up and
+issue in :mod:`repro.core.pipeline` read and write ``size`` and
+``_ready`` directly.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from repro.core.inflight import InFlight
 
@@ -21,41 +21,7 @@ class IssueQueue:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.size = 0  # waiting + ready, i.e. dispatched but not issued
-        self._ready: list[tuple[int, InFlight]] = []
-
-    def is_full(self) -> bool:
-        """True when dispatch into this queue must stall."""
-        return self.size >= self.capacity
-
-    def insert(self, ins: InFlight) -> None:
-        """Add a dispatched instruction (not yet ready)."""
-        if self.size >= self.capacity:
-            raise OverflowError("issue queue full")
-        self.size += 1
-        if ins.deps_left == 0:
-            self.mark_ready(ins)
-
-    def mark_ready(self, ins: InFlight) -> None:
-        """All operands available: eligible for issue."""
-        heapq.heappush(self._ready, (ins.seq, ins))
-
-    def pop_ready(self) -> InFlight | None:
-        """Oldest ready instruction, removing it from the queue."""
-        if not self._ready:
-            return None
-        _, ins = heapq.heappop(self._ready)
-        self.size -= 1
-        return ins
-
-    def push_back(self, ins: InFlight) -> None:
-        """Return an instruction popped this cycle that could not issue."""
-        heapq.heappush(self._ready, (ins.seq, ins))
-        self.size += 1
-
-    @property
-    def ready_count(self) -> int:
-        """Instructions currently eligible for issue."""
-        return len(self._ready)
+        self._ready: list[tuple[int, InFlight]] = []  # heap of (seq, ins)
 
     def clear(self) -> None:
         """Squash all entries (pipeline flush)."""

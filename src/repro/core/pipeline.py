@@ -51,7 +51,7 @@ from repro.isa.opclasses import EXEC_LATENCY, PIPELINED, fu_pool_for
 from repro.isa.uop import UOp
 from repro.lsq.base import BaseLSQ, RouteKind
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.obs.telemetry import build_extra, get_telemetry
+from repro.obs.telemetry import SECTIONS, build_extra, get_telemetry
 
 #: "no sequence number": above every real seq (frontier / bound sentinel)
 _NO_SEQ = 1 << 62
@@ -109,8 +109,19 @@ class SimResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimResult":
-        """Rebuild a result saved with :meth:`to_dict`."""
+        """Rebuild a result saved with :meth:`to_dict`.
+
+        A saved copy holds the legacy ``extra`` aliases apart from the
+        telemetry sections they name; they are re-pointed at the
+        sections, so a loaded result reads and mutates like a fresh one.
+        """
         fields = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
+        extra = fields.get("extra")
+        tel = extra.get("telemetry") if isinstance(extra, dict) else None
+        if isinstance(tel, dict):
+            for section in SECTIONS:
+                if section in extra and isinstance(tel.get(section), dict):
+                    extra[section] = tel[section]
         return cls(**fields)
 
     def telemetry(self) -> dict:
@@ -444,12 +455,13 @@ class Pipeline:
             if kind != "exec" and kind != "mem":  # pragma: no cover
                 raise RuntimeError(f"unknown event {kind}")
             ins.done = True
-            # inlined _wake_dependents
+            # wake dependents: a consumer whose last operand arrived
+            # joins its queue's age-ordered ready heap
             for w in waiters.pop(ins.seq, ()):  # register dependents
                 w.deps_left -= 1
                 if w.deps_left == 0 and not w.issued:
                     iq = fp_iq if w.is_fp else int_iq
-                    heappush(iq._ready, (w.seq, w))  # inlined mark_ready
+                    heappush(iq._ready, (w.seq, w))
             for w in data_waiters.pop(ins.seq, ()):  # store data operands
                 w.store_data_ready = True
                 lsq.store_data_arrived(w)
@@ -510,7 +522,7 @@ class Pipeline:
                         return  # no write port this cycle
                     self._store_writeback(head)
                 lsq.commit(head)
-            # inlined _retire
+            # retire: leave the ROB and the in-flight map, free the register
             buf.popleft()
             seq = head.seq
             del inflight[seq]
@@ -559,7 +571,7 @@ class Pipeline:
         pending = self._pending_loads
         if not pending:
             return
-        # inlined _min_unresolved_store
+        # the oldest store with an unknown address bounds which loads issue
         q = self._unresolved_stores
         inflight = self._inflight
         while q and (q[0].disamb_resolved or q[0].seq not in inflight):
@@ -638,7 +650,7 @@ class Pipeline:
         deferred: list[InFlight] = []
         issued = 0
         while issued < width and ready:
-            # inlined IssueQueue.pop_ready
+            # the oldest ready instruction leaves the queue
             ins = heappop(ready)[1]
             iq.size -= 1
             if ins.seq not in inflight:
@@ -647,7 +659,7 @@ class Pipeline:
                 deferred.append(ins)  # §3.3: no guaranteed AddrBuffer slot
                 continue
             pool, lat, pipelined = issue_info[ins.op]
-            # inlined FuncUnitPool.issue
+            # claim a unit: per-cycle bandwidth minus busy non-pipelined units
             if pool.units - pool._issued_this_cycle - len(pool._busy_until) <= 0:
                 deferred.append(ins)
                 continue
@@ -668,7 +680,7 @@ class Pipeline:
                 events[when] = bucket = []
             bucket.append((kind, ins))
         for ins in deferred:
-            # inlined IssueQueue.push_back
+            # not issued this cycle: back into the ready heap
             heappush(ready, (ins.seq, ins))
             iq.size += 1
 
@@ -695,7 +707,7 @@ class Pipeline:
             iq = fp_iq if ins.is_fp else int_iq
             if iq.size >= iq.capacity:
                 return
-            # inlined _acquire_reg
+            # claim a rename register; stall when none is free
             if ins.is_fp:
                 if self._fp_regs_used >= cfg.fp_regs:
                     return
@@ -712,7 +724,7 @@ class Pipeline:
             fq.popleft()
             seq = ins.seq
             inflight[seq] = ins
-            rob_buf.append(ins)  # inlined rob.push (capacity checked above)
+            rob_buf.append(ins)  # capacity checked above
             # register dependences: a producer still in flight and not yet
             # done gates issue (stores and branches write no register);
             # a store's data operand (src2) gates only its data, not AGU
@@ -746,7 +758,8 @@ class Pipeline:
                             waiters[pseq] = [ins]
                         else:
                             bucket.append(ins)
-            # inlined IssueQueue.insert (capacity checked above)
+            # enter the issue queue (capacity checked above): ready now,
+            # or when the last producer wakes it
             iq.size += 1
             if deps:
                 ins.deps_left = deps
@@ -871,8 +884,8 @@ class Pipeline:
             if imshr._inflight:
                 imshr.retire(mem_cycle)
         for pool in self._pool_list:
-            # inlined FuncUnitPool.new_cycle: reset issue bandwidth and
-            # release finished non-pipelined units only when present
+            # FU pools: reset issue bandwidth and release finished
+            # non-pipelined units only when present
             if pool._issued_this_cycle:
                 pool._issued_this_cycle = 0
             if pool._busy_until:

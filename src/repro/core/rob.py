@@ -11,7 +11,6 @@ head used for in-order commit and deadlock detection.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
 
 from repro.core.inflight import InFlight
 
@@ -19,10 +18,9 @@ from repro.core.inflight import InFlight
 class ReorderBuffer:
     """Bounded in-order window.
 
-    Backed by a :class:`collections.deque` (the pipeline pushes, peeks and
-    pops the head every cycle; deque keeps those C-speed) with an explicit
-    capacity check, so the bound stays as honest as the old ring buffer.
-    The buffer deque is exposed as ``buf`` for the pipeline's commit loop.
+    Backed by a :class:`collections.deque` exposed as ``buf``: dispatch
+    appends to it (after checking ``capacity``) and commit pops its head
+    directly in :mod:`repro.core.pipeline`, so those stay C-speed.
     """
 
     __slots__ = ("buf", "capacity")
@@ -36,27 +34,10 @@ class ReorderBuffer:
     def __len__(self) -> int:
         return len(self.buf)
 
-    def is_full(self) -> bool:
-        """True when dispatch must stall."""
-        return len(self.buf) >= self.capacity
-
-    def push(self, ins: InFlight) -> None:
-        """Append at the tail (dispatch, program order)."""
-        if len(self.buf) >= self.capacity:
-            raise OverflowError("reorder buffer full")
-        self.buf.append(ins)
-
     def head(self) -> InFlight | None:
         """Oldest in-flight instruction, or None when empty."""
         return self.buf[0] if self.buf else None
 
-    def pop_head(self) -> InFlight:
-        """Remove the oldest instruction (commit)."""
-        return self.buf.popleft()
-
     def clear(self) -> None:
         """Squash the window (pipeline flush)."""
         self.buf.clear()
-
-    def __iter__(self) -> Iterator[InFlight]:
-        return iter(self.buf)

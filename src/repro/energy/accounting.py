@@ -31,23 +31,10 @@ class EnergyAccount:
             return sum(self._pj.values())
         return sum(self._pj[c] for c in categories)
 
-    def total_prefix(self, prefix: str) -> float:
-        """Sum of all categories whose name starts with ``prefix``."""
-        return sum(v for k, v in self._pj.items() if k.startswith(prefix))
-
     def as_dict(self) -> dict[str, float]:
         """Snapshot of all accumulators."""
         return dict(self._pj)
 
-    def categories(self) -> list[str]:
-        """Sorted category names seen so far."""
-        return sorted(self._pj)
-
     def reset(self) -> None:
         """Zero all accumulators."""
         self._pj.clear()
-
-    def merge(self, other: "EnergyAccount") -> None:
-        """Accumulate another account into this one."""
-        for k, v in other._pj.items():
-            self._pj[k] += v

@@ -9,8 +9,10 @@ power-gating policy:
   extra SharedLSQ entry; within an entry, in-use slots plus one extra;
 * AddrBuffer: in-use slots plus four extra.
 
-``ActiveAreaTracker`` accumulates um^2 x cycles per named component, which
-regenerates Figures 11 and 12.
+``ActiveAreaTracker`` holds the um^2 x cycles accumulated per named
+component, which regenerates Figures 11 and 12.  It is slotted state:
+stage 8 of :mod:`repro.core.pipeline` writes ``_area_cycles`` and
+``cycles`` itself, charging each run of unchanged LSQ state at once.
 """
 
 from __future__ import annotations
@@ -26,26 +28,6 @@ class ActiveAreaTracker:
     def __init__(self):
         self._area_cycles: defaultdict[str, float] = defaultdict(float)
         self.cycles = 0
-
-    def record(self, component: str, area_um2: float) -> None:
-        """Charge ``area_um2`` for the current cycle to ``component``."""
-        if area_um2 < 0:
-            raise ValueError("area must be non-negative")
-        self._area_cycles[component] += area_um2
-
-    def end_cycle(self) -> None:
-        """Mark the end of a simulated cycle."""
-        self.cycles += 1
-
-    def total(self, *components: str) -> float:
-        """Accumulated um^2 x cycles (all components when none given)."""
-        if not components:
-            return sum(self._area_cycles.values())
-        return sum(self._area_cycles[c] for c in components)
-
-    def mean_area(self, component: str) -> float:
-        """Average active um^2 per cycle for ``component``."""
-        return self._area_cycles[component] / self.cycles if self.cycles else 0.0
 
     def as_dict(self) -> dict[str, float]:
         """Snapshot of accumulated area-cycles per component."""

@@ -47,22 +47,25 @@ from repro.lsq.base import (
 #: the synthetic ISA's maximum access size)
 _WORD_SHIFT = 3
 
+#: power-gated entries kept active beyond those in use: the paper's "four
+#: extra entries" (§4.2)
+ACTIVE_EXTRA = 4
+
 
 class ConventionalLSQ(BaseLSQ):
     """Fully-associative LSQ with store-to-load forwarding."""
 
     __slots__ = (
-        "capacity", "active_extra", "_ents", "_stores", "_loads",
+        "capacity", "_ents", "_stores", "_loads",
         "_store_words", "_ready_store_seqs", "_ready_load_seqs",
         "_entry_area", "_area_cache",
     )
 
     name = "conventional"
 
-    def __init__(self, capacity: int | None = 128, active_extra: int = 4):
+    def __init__(self, capacity: int | None = 128):
         super().__init__()
         self.capacity = capacity
-        self.active_extra = active_extra
         self._ents: deque[InFlight] = deque()
         self._stores: deque[InFlight] = deque()
         self._loads: deque[InFlight] = deque()
@@ -217,7 +220,7 @@ class ConventionalLSQ(BaseLSQ):
         return False  # dispatched implies placed: no deadlock possible
 
     def active_area(self) -> float:
-        active = len(self._ents) + self.active_extra
+        active = len(self._ents) + ACTIVE_EXTRA
         if self.capacity is not None:
             active = min(active, self.capacity)
         return active * self._entry_area

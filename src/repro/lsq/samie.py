@@ -324,15 +324,6 @@ class SamieLSQ(BaseLSQ):
         return not self._addr_buffer._buf or not self._retry_ok
 
     # -- load scheduling -----------------------------------------------------
-    def _matching_stores(self, ins: InFlight) -> list[InFlight]:
-        line = self.line_of(ins)
-        out: list[InFlight] = []
-        for entry in self._bank_lines[self.bank_of(ins)].get(line, ()):
-            out.extend(s for s in entry.slots if s.is_store)
-        for entry in self._shared_lines.get(line, ()):
-            out.extend(s for s in entry.slots if s.is_store)
-        return out
-
     def _forward_source(self, ins: InFlight) -> InFlight | None:
         """Youngest older overlapping store to ``ins``'s line, via the
         line index (selection by max age is order-independent, so this

@@ -106,7 +106,7 @@ class MemoryHierarchy:
         self.l2 = Cache(c.l2_size, c.l2_assoc, c.l2_line, "l2")
         self.itlb = TLB(c.tlb_entries, c.page_bytes, c.tlb_miss_latency)
         self.dtlb = TLB(c.tlb_entries, c.page_bytes, c.tlb_miss_latency)
-        self.dports = PortPool(c.l1d_ports, "l1d")
+        self.dports = PortPool(c.l1d_ports)
         self.dmshr = MSHRFile(c.mshr_entries, c.mshr_targets, "dmshr")
         self.imshr = MSHRFile(c.mshr_entries, c.mshr_targets, "imshr")
         #: advanced by :meth:`new_cycle`; the clock MSHR fills retire on

@@ -1,42 +1,28 @@
 """Per-cycle port arbitration for shared structures.
 
 The L1 data cache has 4 read/write ports (Table 2); committing stores and
-issuing loads compete for them every cycle.  ``PortPool`` is reset at the
-top of each simulated cycle and hands out grants until exhausted.
+issuing loads compete for them every cycle.  ``PortPool`` hands out
+grants until exhausted; the cycle loop releases every port by zeroing
+``_used`` at the top of each simulated cycle.
 """
 
 from __future__ import annotations
-
-from repro.common.stats import Counter
 
 
 class PortPool:
     """Counts port grants within a cycle; denies when exhausted."""
 
-    __slots__ = ("ports", "_used", "grants", "denials")
+    __slots__ = ("ports", "_used")
 
-    def __init__(self, ports: int, name: str = "ports"):
+    def __init__(self, ports: int):
         if ports < 1:
             raise ValueError("need at least one port")
         self.ports = ports
         self._used = 0
-        self.grants = Counter(f"{name}_grants")
-        self.denials = Counter(f"{name}_denials")
-
-    def new_cycle(self) -> None:
-        """Release all ports for the next cycle."""
-        self._used = 0
-
-    @property
-    def available(self) -> int:
-        """Ports still free this cycle."""
-        return self.ports - self._used
 
     def try_acquire(self) -> bool:
         """Grab one port if available; returns success."""
         if self._used < self.ports:
             self._used += 1
-            self.grants.value += 1  # inlined Counter.add (hot path)
             return True
-        self.denials.value += 1
         return False

@@ -27,10 +27,6 @@ class TLB:
         self.misses = Counter("tlb_misses")
         self.miss_latency = miss_latency
 
-    def vpn(self, addr: int) -> int:
-        """Virtual page number of a byte address."""
-        return addr >> self.page_shift
-
     def access(self, addr: int) -> bool:
         """Translate ``addr``; returns True on hit, False on miss (fills)."""
         self._clock += 1
@@ -66,15 +62,7 @@ class TLB:
         equivalence tier."""
         return {"clock": self._clock, "map": dict(self._map)}
 
-    def latency(self, hit: bool) -> int:
-        """Access latency in cycles for a hit/miss outcome."""
-        return 1 if hit else 1 + self.miss_latency
-
     @property
     def occupancy(self) -> int:
         """Number of valid entries."""
         return len(self._map)
-
-    def flush(self) -> None:
-        """Invalidate all translations."""
-        self._map.clear()

@@ -2,7 +2,7 @@
 
 One package owns every window into a running simulation or service:
 
-* :mod:`repro.obs.metrics` -- a process-wide **metrics registry**
+* :mod:`repro.obs.metrics` -- the service's **metrics registry**
   (counters, gauges, fixed-bucket histograms, labeled families) rendered
   in the Prometheus text exposition format by the HTTP ``/v1/metrics``
   endpoint;
@@ -24,9 +24,9 @@ One package owns every window into a running simulation or service:
 Invariants (see ROADMAP.md "Observability"):
 
 * **OBS is off by default** and the disabled path is as close to free
-  as Python allows: module-level helpers hand out shared no-op stubs,
-  the pipeline's cycle-trace hook is a single ``is None`` test per
-  cycle, and nothing in a hot loop formats, allocates or locks.  The
+  as Python allows: span helpers return before timing anything, the
+  pipeline's cycle-trace hook is a single ``is None`` test per cycle,
+  and nothing in a hot loop formats, allocates or locks.  The
   perf-smoke gate and ``tests/test_obs_pipeline.py`` enforce the
   budget.
 * **Hooks never mutate simulator state.**  Tracers and profilers read
@@ -42,9 +42,8 @@ from __future__ import annotations
 import os
 
 #: process-wide observability switch (spans + timing instrumentation);
-#: the metrics *registry* objects are always real when constructed
-#: explicitly -- this flag only gates the convenience helpers and the
-#: optional instrumentation sprinkled through hot-ish paths.
+#: the service's metrics registry is always real -- this flag only gates
+#: the optional instrumentation sprinkled through hot-ish paths.
 _enabled = os.environ.get("REPRO_OBS", "0") not in ("", "0", "off", "no")
 
 

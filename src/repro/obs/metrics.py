@@ -8,19 +8,11 @@ the Prometheus text exposition format (:meth:`MetricsRegistry.render_text`,
 served by ``GET /v1/metrics``).  No dependencies; a registry is a plain
 object and a metric is a slotted instance with a lock.
 
-Two usage modes:
-
-* **explicit registry** -- construct a :class:`MetricsRegistry` and
-  create metrics on it (``reg.counter(...)``).  These are always real:
-  the service layer keeps its admission counters here regardless of the
-  observability switch, because ``/v1/stats`` always needed them.
-* **module helpers** -- :func:`counter`/:func:`gauge`/:func:`histogram`
-  against the process-default registry.  These honor
-  :func:`repro.obs.enabled`: when observability is off they return the
-  shared no-op stubs (:data:`NULL_COUNTER` et al.), which is the
-  zero-overhead-when-disabled contract -- instrumented code holds a stub
-  whose ``inc``/``observe`` is an empty method, and nothing is ever
-  registered or rendered.
+There is no process-default registry: the service constructs its own
+:class:`MetricsRegistry` and keeps its admission counters and store
+timings there regardless of the observability switch, because
+``/v1/stats`` always needed them.  Nothing in the simulator's cycle
+loop holds a metric.
 """
 
 from __future__ import annotations
@@ -29,7 +21,6 @@ import threading
 import time
 from bisect import bisect_right
 
-import repro.obs as _obs
 
 #: default histogram buckets for durations in seconds (scrape-friendly
 #: log-ish layout; the last bucket is always +Inf implicitly)
@@ -273,77 +264,3 @@ class MetricsRegistry:
                 lines.append(f"{name}{_labels_suffix(labels)} {_format_value(value)}")
         return "\n".join(lines) + "\n"
 
-
-# -- no-op stubs: the disabled path ------------------------------------------
-
-
-class NullMetric:
-    """Shared do-nothing metric: every mutator is an empty method."""
-
-    __slots__ = ()
-    name = "null"
-    help = ""
-    labels = ()
-    kind = "null"
-    value = 0.0
-    count = 0
-    sum = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def labels(self, **labelvalues) -> "NullMetric":  # noqa: F811 - stub API
-        return self
-
-    def samples(self):
-        return iter(())
-
-
-#: the singletons every disabled helper hands out
-NULL_COUNTER = NullMetric()
-NULL_GAUGE = NullMetric()
-NULL_HISTOGRAM = NullMetric()
-
-#: process-default registry used by the module-level helpers
-_default = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    return _default
-
-
-def _existing_or(name: str, make):
-    got = _default.get(name)
-    return got if got is not None else make()
-
-
-def counter(name: str, help: str = "", labelnames: tuple = ()):
-    """Process-default counter, or the shared stub when obs is off."""
-    if not _obs.enabled():
-        return NULL_COUNTER
-    return _existing_or(name, lambda: _default.counter(name, help, labelnames))
-
-
-def gauge(name: str, help: str = "", labelnames: tuple = (), fn=None):
-    """Process-default gauge, or the shared stub when obs is off."""
-    if not _obs.enabled():
-        return NULL_GAUGE
-    return _existing_or(name, lambda: _default.gauge(name, help, labelnames, fn=fn))
-
-
-def histogram(name: str, help: str = "", labelnames: tuple = (),
-              buckets: tuple = DURATION_BUCKETS):
-    """Process-default histogram, or the shared stub when obs is off."""
-    if not _obs.enabled():
-        return NULL_HISTOGRAM
-    return _existing_or(
-        name, lambda: _default.histogram(name, help, labelnames, buckets=buckets))

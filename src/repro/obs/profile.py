@@ -5,8 +5,7 @@ Wraps the pipeline's stage methods (the classic setattr trick --
 instance attributes shadow the class methods) to accumulate wall time
 per stage, attaches a subsampled :class:`~repro.obs.cycletrace
 .CycleTracer` for structure occupancies, and captures phase spans for
-sampled runs (warm vs detailed windows).  This subsumes the old
-``benchmarks/bench_core.py`` breakdown, which now delegates here.
+sampled runs (warm vs detailed windows).
 
 Wrapping slows the run (every stage call crosses a Python closure), so
 the numbers are *relative*: use them to answer "which stage dominates",
@@ -23,7 +22,7 @@ from repro.obs import spans as _spans
 from repro.obs.cycletrace import CycleTracer
 
 #: the stage methods Pipeline.step() dispatches through, commit-first
-#: (the simulator's evaluation order); bench_core imports this list.
+#: (the simulator's evaluation order)
 STAGE_METHODS = [
     "_complete", "_commit", "_memory_issue", "_issue", "_dispatch", "_fetch",
 ]

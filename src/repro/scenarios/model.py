@@ -172,10 +172,6 @@ class Scenario:
             "programs": [prog.doc() for prog in self.programs],
         }
 
-    @property
-    def phased(self) -> bool:
-        return any(len(p.phases) > 1 for p in self.programs)
-
 
 def canonical_json(scenario: Scenario) -> str:
     """Canonical structural identity: sorted keys, compact separators."""

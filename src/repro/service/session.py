@@ -5,8 +5,6 @@ kept in module globals: the in-process memo, the result store, and the
 worker pool.  Its lifecycle is explicit::
 
     standup  -> run       (pools created, submissions accepted)
-    run      -> analysis  (read-only: cached results served, new
-                           simulations refused)
     any      -> teardown  (pools drained and shut down; the session is
                            finished)
 
@@ -56,9 +54,6 @@ from repro.service.store import (
 
 import repro.obs as _obs
 
-#: legal lifecycle phases, in order
-PHASES = ("created", "run", "analysis", "teardown")
-
 
 def _runner():
     """The runner module, resolved per call.
@@ -81,7 +76,7 @@ class PhaseError(ServiceError):
 
 
 class AdmissionError(ServiceError):
-    """A batch was refused by admission control (queue full / read-only)."""
+    """A batch was refused by admission control (queue full)."""
 
 
 @dataclass
@@ -284,15 +279,6 @@ class SimService:
                 self.phase = "run"
         return self
 
-    def analysis(self) -> "SimService":
-        """run -> analysis: serve cached results only; refuse new work."""
-        with self._lock:
-            if self.phase != "run":
-                raise PhaseError(f"cannot enter analysis from phase {self.phase!r}")
-            with _spans.span("service.analysis"):
-                self.phase = "analysis"
-        return self
-
     def teardown(self) -> None:
         """Drain and release the worker shards; the session is finished."""
         with self._lock:
@@ -412,13 +398,6 @@ class SimService:
                 first_kind[key] = kind
                 resolution.append(kind)
         fresh = [k for k, kind in first_kind.items() if kind == "new"]
-        if fresh and self.phase == "analysis":
-            stats.rejected.inc(len(specs))
-            spec = specs[keys.index(fresh[0])]
-            raise AdmissionError(
-                "analysis phase is read-only: "
-                f"{spec.workload}/{spec.machine_key} is not cached"
-            )
         if self.max_pending is not None:
             live = sum(1 for j in self._inflight.values() if not j.done())
             if live + len(fresh) > self.max_pending:
@@ -612,10 +591,6 @@ class SimService:
     def batch(self, batch_id: str) -> Batch | None:
         with self._lock:
             return self._batches.get(batch_id)
-
-    def job(self, cache_id: str) -> Job | None:
-        with self._lock:
-            return self._jobs_by_id.get(cache_id)
 
     def result_by_address(self, address: str) -> SimResult | None:
         """Resolve a content address via finished jobs, then the store."""

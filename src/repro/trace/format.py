@@ -45,6 +45,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from repro.isa.opclasses import OP_BY_CODE
 from repro.isa.uop import UOp
 
@@ -373,7 +375,14 @@ class TraceReader:
             self.count_read = seq
 
 
-_RECORD_DTYPE = None
+_RECORD_DTYPE = np.dtype(
+    [
+        ("pc", "<u8"), ("addr", "<u8"), ("target", "<u8"),
+        ("size", "<u2"), ("src1", "<u2"), ("src2", "<u2"),
+        ("op", "u1"), ("flags", "u1"),
+    ]
+)
+assert _RECORD_DTYPE.itemsize == RECORD_BYTES
 
 
 def record_dtype():
@@ -381,21 +390,8 @@ def record_dtype():
 
     Field order/widths match ``'<QQQHHHBB'`` exactly, so a frame's raw
     bytes reinterpret as a record array with ``np.frombuffer`` -- the
-    zero-copy decode under :meth:`TraceStream.take_batch`.  Lazy so the
-    format module itself keeps working without numpy installed.
+    zero-copy decode under :meth:`TraceStream.take_batch`.
     """
-    global _RECORD_DTYPE
-    if _RECORD_DTYPE is None:
-        import numpy as np
-
-        _RECORD_DTYPE = np.dtype(
-            [
-                ("pc", "<u8"), ("addr", "<u8"), ("target", "<u8"),
-                ("size", "<u2"), ("src1", "<u2"), ("src2", "<u2"),
-                ("op", "u1"), ("flags", "u1"),
-            ]
-        )
-        assert _RECORD_DTYPE.itemsize == RECORD_BYTES
     return _RECORD_DTYPE
 
 
@@ -486,9 +482,7 @@ class TraceStream:
         sequence cursor advances as if the records had been iterated, so
         scalar iteration resumes seamlessly afterwards.
         """
-        import numpy as np
-
-        dtype = record_dtype()
+        dtype = _RECORD_DTYPE
         chunks = []
         got = 0
         while got < max_records:

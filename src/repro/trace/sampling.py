@@ -279,17 +279,14 @@ class ScalarWarmEngine:
 def make_warm_engine(pipe: Pipeline, warm_engine: str = "vector"):
     """Construct the named warm engine (``"scalar"`` or ``"vector"``).
 
-    The vector engine needs numpy; if it is unavailable the scalar
-    reference is substituted -- safe because the engines are
-    bit-identical by contract.
+    The engines are bit-identical by contract; the scalar one is the
+    reference the equivalence tier checks the vector one against.
     """
     if warm_engine == "scalar":
         return ScalarWarmEngine(pipe)
     if warm_engine == "vector":
-        try:
-            from repro.trace.fastwarm import VectorWarmEngine
-        except ImportError:  # no numpy: the scalar reference is identical
-            return ScalarWarmEngine(pipe)
+        from repro.trace.fastwarm import VectorWarmEngine
+
         return VectorWarmEngine(pipe)
     raise ValueError(
         f"unknown warm engine {warm_engine!r}; use 'scalar' or 'vector'"
@@ -326,7 +323,7 @@ def _merge(windows: list[SimResult], plan: SamplePlan, stream: SampledStream,
         _merge_counts(cache_energy, r.cache_energy_pj)
         _merge_counts(area, r.area_um2_cycles)
         _merge_counts(lsq_stats, r.lsq_stats)
-        _merge_counts(mshr, (r.extra or {}).get("mshr", {}))
+        _merge_counts(mshr, r.telemetry().get("mshr") or {})
     sampling: dict = {
         "period": plan.period,
         "warmup": plan.warmup,

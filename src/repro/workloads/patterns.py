@@ -66,10 +66,6 @@ class AddressPattern(ABC):
         stream exactly as ``n`` :meth:`next_access` calls would.
         """
 
-    def footprint(self) -> tuple[int, int]:
-        """(base, extent) byte region this pattern can touch."""
-        return (0, 0)
-
 
 class StridedStream(AddressPattern):
     """Sequential walk: ``base, base+stride, ...`` wrapping at ``extent``."""
@@ -93,9 +89,6 @@ class StridedStream(AddressPattern):
         off = (self._offset + step * np.arange(n, dtype=np.int64)) % self.extent
         self._offset = (self._offset + step * n) % self.extent
         return _align(self.base + off, self.size), self.size
-
-    def footprint(self) -> tuple[int, int]:
-        return (self.base, self.extent)
 
 
 class MultiArrayStencil(AddressPattern):
@@ -139,9 +132,6 @@ class MultiArrayStencil(AddressPattern):
         addr = self.base + arr[:-1] * (self.array_bytes + self.stagger) + index[:-1]
         return _align(addr, self.elem), self.elem
 
-    def footprint(self) -> tuple[int, int]:
-        return (self.base, self.arrays * self.array_bytes)
-
 
 class ColumnSweep(AddressPattern):
     """Column-major sweep of a 2-D array: stride = row_bytes.
@@ -182,9 +172,6 @@ class ColumnSweep(AddressPattern):
         self._row, self._col = int(row[-1]), int(col[-1])
         addr = self.base + row[:-1] * self.row_bytes + col[:-1] * self.elem
         return _align(addr, self.elem), self.elem
-
-    def footprint(self) -> tuple[int, int]:
-        return (self.base, self.rows * self.row_bytes)
 
 
 class PointerChase(AddressPattern):
@@ -234,9 +221,6 @@ class PointerChase(AddressPattern):
         addr = self.base + nodes * self.node_bytes + field * self.size % self.node_bytes
         return _align(addr, self.size), self.size
 
-    def footprint(self) -> tuple[int, int]:
-        return (self.base, self.bytes)
-
 
 class HotRandom(AddressPattern):
     """Uniform random accesses within a small hot region."""
@@ -253,9 +237,6 @@ class HotRandom(AddressPattern):
 
     def next_accesses(self, n: int, draws: np.ndarray) -> tuple[np.ndarray, int]:
         return _align(self.base + draws * self.size, self.size), self.size
-
-    def footprint(self) -> tuple[int, int]:
-        return (self.base, self.bytes)
 
 
 class StackPattern(AddressPattern):
@@ -282,6 +263,3 @@ class StackPattern(AddressPattern):
             sps.append(sp)
         self._sp = sp
         return _align(self.base + np.array(sps, dtype=np.int64), size), size
-
-    def footprint(self) -> tuple[int, int]:
-        return (self.base, self.depth)

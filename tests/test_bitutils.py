@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.bitutils import align_down, align_up, bits_for, ilog2, is_pow2, mask
+from repro.common.bitutils import ilog2, is_pow2
 
 
 class TestIsPow2:
@@ -31,47 +31,3 @@ class TestIlog2:
     @given(st.integers(min_value=0, max_value=60))
     def test_roundtrip(self, k):
         assert ilog2(1 << k) == k
-
-
-class TestBitsFor:
-    def test_small(self):
-        assert bits_for(1) == 1
-        assert bits_for(2) == 1
-        assert bits_for(3) == 2
-        assert bits_for(256) == 8
-        assert bits_for(257) == 9
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            bits_for(0)
-
-    @given(st.integers(min_value=1, max_value=1 << 30))
-    def test_covers(self, n):
-        b = bits_for(n)
-        assert (1 << b) >= n
-        assert n == 1 or (1 << (b - 1)) < n
-
-
-class TestMask:
-    def test_values(self):
-        assert mask(0) == 0
-        assert mask(1) == 1
-        assert mask(8) == 0xFF
-        assert mask(32) == 0xFFFFFFFF
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            mask(-1)
-
-
-class TestAlign:
-    @given(st.integers(min_value=0, max_value=1 << 40), st.sampled_from([1, 2, 4, 8, 32, 4096]))
-    def test_down_le_up(self, addr, g):
-        d, u = align_down(addr, g), align_up(addr, g)
-        assert d <= addr <= u
-        assert d % g == 0 and u % g == 0
-        assert u - d in (0, g)
-
-    def test_already_aligned(self):
-        assert align_down(64, 32) == 64
-        assert align_up(64, 32) == 64

@@ -80,48 +80,20 @@ class TestEnergyAccount:
         with pytest.raises(ValueError):
             EnergyAccount().charge("x", -1.0)
 
-    def test_prefix_totals(self):
+    def test_reset(self):
         e = EnergyAccount()
-        e.charge("lsq.distrib", 1.0)
-        e.charge("lsq.shared", 2.0)
-        e.charge("cache", 4.0)
-        assert e.total_prefix("lsq.") == 3.0
-
-    def test_merge_and_reset(self):
-        a, b = EnergyAccount(), EnergyAccount()
-        a.charge("x", 1.0)
-        b.charge("x", 2.0)
-        b.charge("y", 3.0)
-        a.merge(b)
-        assert a.total("x") == 3.0 and a.total("y") == 3.0
-        a.reset()
-        assert a.total() == 0.0
-
-    def test_categories_sorted(self):
-        e = EnergyAccount()
-        e.charge("z", 1)
-        e.charge("a", 1)
-        assert e.categories() == ["a", "z"]
+        e.charge("x", 1.0)
+        e.charge("y", 3.0)
+        e.reset()
+        assert e.total() == 0.0 and e.as_dict() == {}
 
 
 class TestActiveAreaTracker:
-    def test_accumulates_per_cycle(self):
-        t = ActiveAreaTracker()
-        t.record("lsq", 100.0)
-        t.end_cycle()
-        t.record("lsq", 50.0)
-        t.end_cycle()
-        assert t.total("lsq") == 150.0
-        assert t.cycles == 2
-        assert t.mean_area("lsq") == 75.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ActiveAreaTracker().record("x", -1.0)
-
     def test_reset(self):
+        # stage 8 of the pipeline writes the accumulators directly
         t = ActiveAreaTracker()
-        t.record("x", 1.0)
-        t.end_cycle()
+        t._area_cycles["x"] += 1.0
+        t.cycles += 1
+        assert t.as_dict() == {"x": 1.0}
         t.reset()
-        assert t.total() == 0.0 and t.cycles == 0
+        assert t.as_dict() == {} and t.cycles == 0

@@ -100,8 +100,8 @@ class TestEndToEndEquivalence:
         name = spec_name(path)
         res, _ = _run_both(lambda: registry.make_trace(name),
                            SamplePlan(2000, 400, 200))
-        w = res["vector"].extra["sampling"]["warm"]
-        assert w == res["scalar"].extra["sampling"]["warm"]
+        w = res["vector"].telemetry()["sampling"]["warm"]
+        assert w == res["scalar"].telemetry()["sampling"]["warm"]
         assert w["uops"] > 0 and w["uops"] >= w["iside"]
 
     def test_batch_size_invariance(self):

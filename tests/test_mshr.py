@@ -201,14 +201,14 @@ class TestPipelineStructuralStalls:
                            max_instructions=1500, warmup=300)
         assert r.instructions >= 1500  # forward progress under pressure
         assert r.data_violations == 0  # timing changes never break values
-        assert r.extra["mshr"]["d_entry_stall_cycles"] > 0
+        assert r.telemetry()["mshr"]["d_entry_stall_cycles"] > 0
 
     def test_default_model_merges_and_differs_from_blocking(self):
         base = SimSpec.make("mcf", MACHINE_SAMIE, 1500, 300)
         blocking = SimSpec.make("mcf", MACHINE_SAMIE, 1500, 300, mem=BLOCKING)
         r_nb, r_b = run_many([base, blocking], jobs=1)
-        assert r_nb.extra["mshr"]["d_merges"] > 0
-        assert r_b.extra["mshr"]["d_merges"] == 0
+        assert r_nb.telemetry()["mshr"]["d_merges"] > 0
+        assert r_b.telemetry()["mshr"]["d_merges"] == 0
         # duplicate in-flight misses now cost real cycles
         assert r_nb.cycles > r_b.cycles
 

@@ -1,29 +1,16 @@
-"""Tests for the metrics registry and the zero-overhead-disabled contract."""
+"""Tests for the metrics registry and its Prometheus text rendering."""
 
 from __future__ import annotations
 
 import pytest
 
-import repro.obs as obs
-from repro.obs import metrics as m
 from repro.obs.metrics import (
     Counter,
     Family,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
 )
-
-
-@pytest.fixture(autouse=True)
-def _obs_off():
-    """Every test starts (and ends) with observability disabled."""
-    obs.disable()
-    yield
-    obs.disable()
 
 
 class TestCounter:
@@ -117,29 +104,3 @@ class TestRegistry:
         assert 'lat_bucket{le="+Inf"} 1' in text
         assert "lat_sum 0.1" in text
         assert "lat_count 1" in text
-
-
-class TestDisabledContract:
-    def test_helpers_return_shared_stubs_when_disabled(self):
-        assert not obs.enabled()
-        assert m.counter("anything") is NULL_COUNTER
-        assert m.gauge("anything") is NULL_GAUGE
-        assert m.histogram("anything") is NULL_HISTOGRAM
-        # nothing registered on the default registry
-        assert m.default_registry().get("anything") is None
-
-    def test_stub_mutators_are_noops(self):
-        NULL_COUNTER.inc(5)
-        NULL_GAUGE.set(3)
-        NULL_HISTOGRAM.observe(1.0)
-        assert NULL_COUNTER.value == 0.0
-        assert NULL_HISTOGRAM.labels(any_label="x") is NULL_HISTOGRAM
-        assert list(NULL_COUNTER.samples()) == []
-
-    def test_helpers_register_for_real_when_enabled(self):
-        obs.enable()
-        name = "test_obs_metrics_real_counter_total"
-        c = m.counter(name, "help text")
-        assert c is not NULL_COUNTER
-        assert m.counter(name) is c  # idempotent lookup
-        assert m.default_registry().get(name) is c

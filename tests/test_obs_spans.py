@@ -121,9 +121,7 @@ class TestServiceSpans:
         service = SimService(store=MemoryStore(), backend="inline")
         service.standup()
         service.run_many([_spec(), _spec("swim")])
-        service.analysis()
         service.teardown()
         names = {s["name"] for s in spans.SPANS.drain()}
         assert {"service.standup", "service.admission", "service.lookup",
-                "job.simulate", "service.analysis",
-                "service.teardown"} <= names
+                "job.simulate", "service.teardown"} <= names

@@ -65,3 +65,20 @@ class TestSimResultTelemetry:
         clone = SimResult.from_dict(result.to_dict())
         assert clone.telemetry()["v"] == TELEMETRY_VERSION
         assert clone.to_dict() == result.to_dict()
+
+    def test_round_trip_keeps_aliases_coherent(self):
+        # a loaded result is annotated like a fresh one: the CLI's
+        # `trace replay --check-full` detaches a copy, then
+        # attach_error writes through the legacy alias
+        from repro.core.pipeline import SimResult
+        from repro.trace.sampling import attach_error
+
+        pipe = build_processor(build_lsq(lsq_spec("samie")))
+        pipe.attach_trace(make_trace("gzip", seed=1))
+        result = pipe.run(400, warmup=100)
+        result.extra = build_extra(mshr=result.extra["mshr"], sampling={"w": 1})
+        clone = SimResult.from_dict(result.to_dict())
+        assert clone.extra["mshr"] is clone.telemetry()["mshr"]
+        assert clone.to_dict() == result.to_dict()
+        err = attach_error(clone, result)
+        assert clone.telemetry()["sampling"]["ipc_error_vs_full"] == err == 0.0

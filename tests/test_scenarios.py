@@ -347,7 +347,7 @@ class TestServicePassThrough:
         res = run_spec(SimSpec.make(
             "scenario:phase_ping_pong", MACHINE_SAMIE, 3000, 0,
             sample=(2000, 300, 500)))
-        phases = res.extra["sampling"]["phases"]
+        phases = res.telemetry()["sampling"]["phases"]
         assert phases["switches"] >= 1
         assert sum(sum(p) for p in phases["consumed"]) >= 3000
 

@@ -43,16 +43,13 @@ class TestLifecycle:
         svc.standup()
         assert svc.phase == "run"
         svc.standup()  # idempotent
-        svc.analysis()
-        assert svc.phase == "analysis"
+        assert svc.phase == "run"
         svc.teardown()
         assert svc.phase == "teardown"
         svc.teardown()  # idempotent
 
     def test_illegal_transitions(self):
         svc = _service()
-        with pytest.raises(PhaseError):
-            svc.analysis()  # created -> analysis skips standup
         svc.teardown()
         with pytest.raises(PhaseError):
             svc.standup()
@@ -68,19 +65,6 @@ class TestLifecycle:
         svc = _service()
         svc.run_many([_spec()])
         assert svc.phase == "run"
-        svc.teardown()
-
-    def test_analysis_serves_cached_refuses_new(self):
-        svc = _service()
-        spec = _spec()
-        [cached] = svc.run_many([spec])
-        svc.analysis()
-        batch = svc.submit([spec])  # memo hit: fine in analysis
-        assert batch.jobs[0].state == "done"
-        assert batch.results() == [cached]
-        with pytest.raises(AdmissionError, match="read-only"):
-            svc.submit([_spec("swim")])
-        assert svc.stats.snapshot()["rejected"] == 1
         svc.teardown()
 
     def test_teardown_fails_leftover_queued_jobs(self):

@@ -200,7 +200,6 @@ class TestEndpoints:
 
     def test_phase_violation_maps_to_409(self, served):
         service, _, client = served
-        service.analysis()
         service.phase = "teardown"  # simulate a torn-down service
         try:
             with pytest.raises(ServiceClientError) as e:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.stats import Counter, Histogram, RunningMean
+from repro.common.stats import Counter, Histogram
 
 
 class TestCounter:
@@ -18,29 +18,6 @@ class TestCounter:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Counter().add(-1)
-
-
-class TestRunningMean:
-    def test_mean(self):
-        m = RunningMean()
-        m.add(2.0)
-        m.add(4.0)
-        assert m.mean == 3.0
-
-    def test_weighted(self):
-        m = RunningMean()
-        m.add(1.0, weight=3)
-        m.add(5.0, weight=1)
-        assert m.mean == 2.0
-
-    def test_empty(self):
-        assert RunningMean().mean == 0.0
-
-    def test_reset(self):
-        m = RunningMean()
-        m.add(10.0)
-        m.reset()
-        assert m.count == 0 and m.mean == 0.0
 
 
 class TestHistogram:
@@ -76,24 +53,6 @@ class TestHistogram:
 
     def test_empty_quantile(self):
         assert Histogram(4).quantile(0.99) == 0
-
-    def test_merge(self):
-        a, b = Histogram(4), Histogram(4)
-        a.add(1)
-        b.add(2)
-        b.add(9)
-        a.merge(b)
-        assert a.count == 3
-        assert a.overflow == 1
-
-    def test_merge_mismatched_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(4).merge(Histogram(5))
-
-    def test_items_skips_empty(self):
-        h = Histogram(4)
-        h.add(2, weight=3)
-        assert list(h.items()) == [(2, 3)]
 
     @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=100))
     def test_quantile_monotone(self, values):

@@ -26,19 +26,3 @@ class TestTLB:
         assert t.occupancy == 8
         t.access(100 << 12)
         assert t.occupancy == 8  # bounded
-
-    def test_latency(self):
-        t = TLB(entries=4, miss_latency=30)
-        assert t.latency(True) == 1
-        assert t.latency(False) == 31
-
-    def test_vpn(self):
-        t = TLB(page_bytes=4096)
-        assert t.vpn(0x12345) == 0x12
-
-    def test_flush(self):
-        t = TLB(entries=4)
-        t.access(0x5000)
-        t.flush()
-        assert not t.access(0x5000)
-        assert t.occupancy == 1

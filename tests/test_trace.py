@@ -459,7 +459,7 @@ class TestSampledReplay:
             SimSpec.make(name, MACHINE_SAMIE, n_trace, 0, sample=plan.key())
         )
         err = attach_error(sampled, full)
-        s = sampled.extra["sampling"]
+        s = sampled.telemetry()["sampling"]
         assert err < 0.05, f"sampling error {err:.1%} vs full"
         assert s["measured_instructions"] * 5 <= full.instructions
         assert s["windows"] >= 10
@@ -473,7 +473,7 @@ class TestSampledReplay:
         spec = SimSpec.make(spec_name(path), MACHINE_SAMIE, 12000, 0,
                             sample=(1000, 300, 100))
         res = run_spec(spec)
-        assert res.extra["sampling"]["windows"] > 0
+        assert res.telemetry()["sampling"]["windows"] > 0
         back = SimResult.from_dict(res.to_dict())
         assert back.extra == res.extra and back.ipc == res.ipc
 
@@ -498,7 +498,7 @@ class TestSampledReplay:
         res = run_sampled(pipe, registry.make_trace(spec_name(path)),
                           SamplePlan(1000, 200, 100), functional_warming=True)
         assert res.instructions > 0
-        assert res.extra["sampling"]["windows"] > 1
+        assert res.telemetry()["sampling"]["windows"] > 1
 
     def test_zero_warmup_plan_does_not_double_count(self, tmp_path):
         from repro.core.processor import build_processor
@@ -509,7 +509,7 @@ class TestSampledReplay:
         pipe = build_processor(build_lsq(MACHINE_SAMIE[1]), None)
         res = run_sampled(pipe, registry.make_trace(spec_name(path)),
                           SamplePlan(1000, 0, 100), max_measured=1000)
-        s = res.extra["sampling"]
+        s = res.telemetry()["sampling"]
         # without a per-window stat reset these windows report cumulative
         # totals: merged instructions overshoot what was simulated
         assert res.instructions == s["measured_instructions"] <= 1000
@@ -565,7 +565,7 @@ class TestSampledReplay:
         pipe = build_processor(build_lsq(MACHINE_SAMIE[1]), None)
         res = run_sampled(pipe, registry.make_trace(spec_name(path)),
                           SamplePlan(3000, 400, 200))
-        warm = res.extra["sampling"]["warm"]
+        warm = res.telemetry()["sampling"]["warm"]
         assert set(warm) == {"uops", "iside", "dside", "branches"}
         assert warm["uops"] > 20000  # ~87% of the stream was skipped
         # detailed counters cover one window's warmup+measure traffic;
@@ -588,7 +588,7 @@ class TestSampledReplay:
         pipe.committed += prior
         res = run_sampled(pipe, registry.make_trace(spec_name(path)),
                           SamplePlan(1000, 200, 100))
-        s = res.extra["sampling"]["simulated_instructions"]
+        s = res.telemetry()["sampling"]["simulated_instructions"]
         assert s == pipe.committed - prior
         assert 0 < s < pipe.committed
 
