@@ -25,7 +25,7 @@ import time
 
 from repro.core.processor import build_processor
 from repro.experiments.runner import MACHINE_SAMIE, build_lsq
-from repro.trace.format import TraceReader
+from repro.trace.format import TraceStream
 from repro.trace.sampling import SamplePlan, attach_error, run_sampled
 from repro.trace.workload import record_trace, spec_name
 from repro.workloads.registry import make_trace
@@ -60,7 +60,7 @@ def test_bench_replay_vs_live(benchmark, tmp_path):
     live_elapsed = time.perf_counter() - t0
 
     def replay():
-        with TraceReader(path) as r:
+        with TraceStream(path) as r:
             return sum(1 for _ in r)
 
     n = benchmark.pedantic(replay, rounds=1, iterations=1, warmup_rounds=0)

@@ -2,32 +2,33 @@
 
 Subcommands:
 
-* ``list``                 -- available workloads and experiments
-* ``workloads``            -- workload listing with suite/kind detail
-                              (``--order paper`` for the figure x-axis
-                              order, ``--verbose`` for profile notes)
+* ``workloads``            -- every workload ``run`` accepts: the synthetic
+                              suite with its suite/kind (``--order paper``
+                              for the figure x-axis order), then the
+                              scenario catalog as ``scenario:<name>``
+                              (``--verbose`` adds each one's note)
 * ``run WORKLOAD...``      -- simulate one or more workloads on one LSQ
-                              design (``--jobs N`` fans the batch out
-                              over a process pool); a ``trace:<path>``
-                              workload replays a recorded trace;
+                              design: a synthetic name, a
+                              ``scenario:<name>`` (or inline
+                              ``scenario:{json}``) spec, or a recorded
+                              trace as ``trace:<path>`` (the whole trace
+                              unless ``--instructions`` bounds it);
+                              ``--sample-ratio R`` samples any of them
+                              (``--check-full`` adds the sampled-vs-full
+                              IPC error of a trace); ``--jobs N`` fans the
+                              batch out over a process pool;
                               ``--profile`` prints a per-stage time and
                               occupancy report, ``--cycle-trace PATH``
                               dumps a cycle-level NDJSON event trace
-* ``figure ID``            -- regenerate one paper artefact (figure1,
-                              figure3..figure12, table1)
+* ``figure ID``            -- regenerate one paper artefact (``figure -h``
+                              lists the IDs)
 * ``all``                  -- regenerate every artefact
-* ``trace``                -- record/replay uop traces: ``record`` a
-                              synthetic workload to a ``.uoptrace``
-                              file, ``replay`` one (optionally sampled),
-                              ``info`` a file, ``ingest`` a Spike
-                              commit log
-* ``scenarios``            -- the declarative scenario catalog:
-                              ``list``/``show`` the named compositions,
-                              ``run`` them (sugar for
-                              ``run scenario:<name>``; inline
-                              ``scenario:{json}`` specs work too) and
-                              ``sweep`` the scenario x geometry stress
-                              matrix
+* ``trace``                -- ``record`` a synthetic workload to a
+                              ``.uoptrace`` file, ``info`` a file,
+                              ``ingest`` a Spike commit log
+* ``scenarios``            -- the declarative scenario catalog: ``show``
+                              one composition, ``sweep`` the scenario x
+                              geometry stress matrix
 * ``verify``               -- differential conformance campaign: fuzzed
                               programs through every LSQ model across a
                               geometry grid, checked against the golden
@@ -46,25 +47,27 @@ Subcommands:
 * ``cache``                -- inspect (``info``) or empty (``clear``)
                               the content-addressed result store
 
-The simulating verbs (``run``, ``figure``, ``all``, ``trace replay``,
-``scenarios run``/``sweep``) accept ``--jobs N`` (0 = one worker per
-core); uncached simulations fan out over a ``ProcessPoolExecutor`` with
-results bit-identical to the serial path.  Each command runs on one
-``SimService`` whose result store persists completed simulations as
-JSON (``~/.cache/samie-repro``, relocated by ``--cache-dir DIR``), so a
-second invocation at the same scale is served from the store;
-``--no-cache`` disables it.  Flags are the only inputs: a simulation's
-scale is ``--instructions``/``--warmup`` (``figure``/``all`` default to
-6000/3000), and a retired ``REPRO_*`` scale or cache variable in the
-environment makes every command exit 2 naming the flag that replaced it.
+The simulating verbs (``run``, ``figure``, ``all``, ``scenarios sweep``)
+accept ``--jobs N`` (0 = one worker per core); uncached simulations fan
+out over a ``ProcessPoolExecutor`` with results bit-identical to the
+serial path.  Each command runs on one ``SimService`` whose result store
+persists completed simulations as JSON (``~/.cache/samie-repro``,
+relocated by ``--cache-dir DIR``), so a second invocation at the same
+scale is served from the store; ``--no-cache`` disables it.  Flags are
+the only inputs: a simulation's scale is ``--instructions``/``--warmup``
+(``run``/``submit`` default to 20000/5000, ``figure``/``all``/``scenarios
+sweep`` to 6000/3000), and a retired ``REPRO_*`` scale or cache variable
+in the environment makes every command exit 2 naming the flag that
+replaced it.
 
-``run``, ``figure``, ``all`` and ``trace replay`` also accept
-``--mem KEY=V[,KEY=V...]`` -- declarative memory-hierarchy overrides
-(MemConfig fields plus ``l1d_sets``/``l1d_ways`` sugar), e.g.
-``--mem mshr_entries=4,l1d_sets=128``.  Overrides are part of the result
--cache identity, so geometry sweeps never collide.
-``--mem mshr_entries=1,mshr_targets=1`` selects the blocking-cache model
-(pre-MSHR timing).
+The simulating verbs and ``submit`` also accept ``--mem KEY=V[,KEY=V...]``
+-- declarative memory-hierarchy overrides (MemConfig fields plus
+``l1d_sets``/``l1d_ways`` sugar), e.g. ``--mem mshr_entries=4,l1d_sets=128``.
+Overrides are part of the result-cache identity, so geometry sweeps never
+collide.  ``--mem mshr_entries=1,mshr_targets=1`` selects the instant-fill
+model (pre-MSHR timing): each miss is charged its own full latency, any
+number of misses may be outstanding, and the line is installed at access
+time.
 """
 
 from __future__ import annotations
@@ -91,6 +94,11 @@ RETIRED_ENV = {
     "REPRO_WARMUP": "--warmup",
 }
 
+#: ``run``/``submit`` scale when ``--instructions``/``--warmup`` are unset
+#: (a ``trace:`` workload then runs whole; a sampled run warms per window)
+RUN_INSTRUCTIONS = 20000
+RUN_WARMUP = 5000
+
 #: ``run --lsq`` choice -> canonical machine (machine_key, lsq_spec)
 def _run_machine(name: str):
     from repro.experiments import runner
@@ -101,14 +109,6 @@ def _run_machine(name: str):
         "samie": runner.MACHINE_SAMIE,
         "arb": ("arb-default", runner.lsq_spec("arb")),
     }[name]
-
-
-def _cmd_list(_: argparse.Namespace) -> int:
-    from repro.workloads.registry import list_workloads
-
-    print("workloads:", ", ".join(list_workloads()))
-    print("experiments:", ", ".join(EXPERIMENTS))
-    return 0
 
 
 def _print_result(workload: str, res) -> None:
@@ -167,33 +167,48 @@ def _parse_mem(args: argparse.Namespace):
     return mem
 
 
-def _build_specs(args: argparse.Namespace, machine, mem) -> list | None:
-    """The ``run``/``submit`` workload list as ``SimSpec``s (None = error)."""
-    from repro.experiments.runner import SimSpec
-    from repro.workloads.registry import (
-        SCENARIO_SCHEME,
-        TRACE_SCHEME,
-        get_workload,
-        has_workload,
-    )
+def _build_specs(args: argparse.Namespace, machine, mem,
+                 sample: tuple | None = None) -> list | None:
+    """The ``run``/``submit`` workload list as ``SimSpec``s (None = error).
 
+    Every ``trace:`` file is checked first, so a missing, foreign or
+    incomplete file fails with a message about the file; with
+    ``--instructions`` unset a trace runs whole.  A sampled run's
+    warmup is 0: the plan warms each window.
+    """
+    from repro.experiments.runner import SimSpec
+    from repro.trace.format import TraceError, read_info
+    from repro.workloads.registry import SCENARIO_SCHEME, TRACE_SCHEME, get_workload
+
+    budgets = []
     for w in args.workload:
-        # a mistyped trace path is a file problem and deserves a file
-        # message; scenario typos surface below via the canonicaliser
-        if w.startswith(TRACE_SCHEME) and not os.path.exists(w[len(TRACE_SCHEME):]):
-            print(f"{w[len(TRACE_SCHEME):]}: no such trace file", file=sys.stderr)
-            return None
-        if not w.startswith((TRACE_SCHEME, SCENARIO_SCHEME)) and not has_workload(w):
+        n = args.instructions
+        if w.startswith(TRACE_SCHEME):
+            path = w[len(TRACE_SCHEME):]
+            try:
+                info = read_info(path)
+            except (OSError, TraceError) as e:
+                print(e, file=sys.stderr)
+                return None
+            if not info.complete:
+                print(f"{path}: no valid footer; incomplete or corrupt trace "
+                      "(see `repro trace info --scan`)", file=sys.stderr)
+                return None
+            if n is None:
+                n = info.count
+        elif not w.startswith(SCENARIO_SCHEME):
             try:
                 get_workload(w)  # raises with the close-match suggestion
             except ValueError as e:
                 print(e, file=sys.stderr)
                 return None
+        budgets.append(RUN_INSTRUCTIONS if n is None else n)
+    warmup = args.warmup if args.warmup is not None else RUN_WARMUP
     try:
         return [
-            SimSpec.make(w, machine, args.instructions, args.warmup,
-                         args.seed, mem=mem)
-            for w in args.workload
+            SimSpec.make(w, machine, n, 0 if sample else warmup, args.seed,
+                         sample=sample, mem=mem)
+            for w, n in zip(args.workload, budgets)
         ]
     except ValueError as e:
         # unknown scenario name / malformed inline scenario JSON --
@@ -212,7 +227,6 @@ def _run_instrumented(args: argparse.Namespace, specs: list) -> int:
     """
     from repro.obs.cycletrace import CycleTracer
     from repro.obs.profile import run_profiled
-    from repro.trace.format import TraceError
 
     if args.cycle_trace and len(specs) > 1:
         print("--cycle-trace writes one NDJSON file; run one workload "
@@ -220,11 +234,7 @@ def _run_instrumented(args: argparse.Namespace, specs: list) -> int:
         return 2
     for w, spec in zip(args.workload, specs):
         tracer = CycleTracer(every=1) if args.cycle_trace else None
-        try:
-            result, report = run_profiled(spec, tracer=tracer)
-        except TraceError as e:
-            print(e, file=sys.stderr)
-            return 1
+        result, report = run_profiled(spec, tracer=tracer)
         _print_result(w, result)
         if args.profile:
             print()
@@ -257,33 +267,38 @@ def _session(args: argparse.Namespace):
     return SimService(cache=_cache_config(args))
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _sampling_usage(args: argparse.Namespace) -> str | None:
+    """Why ``run``'s sampling flags cannot combine as given (None = fine)."""
+    from repro.workloads.registry import TRACE_SCHEME
+
+    if args.check_full:
+        if args.sample_ratio is None:
+            return ("--check-full only applies to sampled replay; "
+                    "pass --sample-ratio too")
+        if args.instructions is not None:
+            # a bounded sampled run spreads its budget across ~1/ratio
+            # times as many source uops as a bounded full run covers, so
+            # the two would describe different trace regions
+            return "--check-full compares whole-trace replays; drop --instructions"
+        endless = [w for w in args.workload if not w.startswith(TRACE_SCHEME)]
+        if endless:
+            return (f"--check-full compares whole-trace replays; {endless[0]} "
+                    "is not a trace: workload (synthetic and scenario "
+                    "sources never end)")
+        if args.profile or args.cycle_trace:
+            return "--check-full does not combine with --profile/--cycle-trace"
+    if args.sample_ratio is not None and args.warmup:
+        # sampling replaces the single up-front warmup with the plan's
+        # per-window warmup; silently dropping the flag would be worse
+        return ("--warmup does not apply to sampled replay (the sampling "
+                "plan warms each window); drop it")
+    return None
+
+
+def _write_report(args: argparse.Namespace, machine, mem, results) -> None:
+    """Print each result; with ``--json PATH``, write them there first."""
     import json
 
-    from repro.trace.format import TraceError
-    from repro.workloads.registry import UnknownWorkloadError
-
-    machine = _run_machine(args.lsq)
-    mem = _parse_mem(args)
-    if mem is _MEM_ERROR:
-        return 2
-    specs = _build_specs(args, machine, mem)
-    if specs is None:
-        return 1
-    if args.profile or args.cycle_trace:
-        return _run_instrumented(args, specs)
-    try:
-        results = _session(args).run_many(specs, jobs=args.jobs)
-    except UnknownWorkloadError as e:
-        # mistyped workload name: clean message (with the close-match
-        # suggestion when the registry found one), not a traceback
-        print(e, file=sys.stderr)
-        return 1
-    except TraceError as e:
-        # a trace: workload can name a truncated/corrupt file; fail like
-        # `trace replay` does, not with a traceback
-        print(e, file=sys.stderr)
-        return 1
     if args.json:
         # write the report before printing: a consumer that closes stdout
         # early (| head) must not cost the artifact
@@ -299,31 +314,81 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _print_result(w, res)
     if args.json:
         print(f"report written to {args.json}")
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
+    from repro.core.pipeline import SimResult
+    from repro.trace.format import TraceError
+    from repro.trace.sampling import SamplePlan, attach_error
+
+    usage = _sampling_usage(args)
+    if usage:
+        print(usage, file=sys.stderr)
+        return 2
+    machine = _run_machine(args.lsq)
+    mem = _parse_mem(args)
+    if mem is _MEM_ERROR:
+        return 2
+    sample = None
+    if args.sample_ratio is not None:
+        try:
+            plan = SamplePlan.from_ratio(args.sample_ratio, period=args.sample_period)
+        except ValueError as e:
+            print(e, file=sys.stderr)
+            return 2
+        sample = plan.key()
+    specs = _build_specs(args, machine, mem, sample)
+    if specs is None:
+        return 1
+    # --check-full: each trace's full run, same whole-trace budget, warmup 0
+    full = [replace(spec, sample=None) for spec in specs] if args.check_full else []
+    try:
+        if args.profile or args.cycle_trace:
+            return _run_instrumented(args, specs)
+        results = _session(args).run_many(specs + full, jobs=args.jobs)
+    except (TraceError, ValueError) as e:
+        # a corrupt frame behind a valid footer, a mistyped workload
+        # (with the registry's close-match suggestion) or a trace too
+        # short for one sampling window: a clean message, no traceback
+        print(e, file=sys.stderr)
+        return 1
+    results, fulls = results[:len(specs)], results[len(specs):]
+    if fulls:
+        # detach from the session memo before annotating: the memoised
+        # result must not accumulate this invocation's error fields
+        results = [SimResult.from_dict(r.to_dict()) for r in results]
+        for res, base in zip(results, fulls):
+            attach_error(res, base)
+    _write_report(args, machine, mem, results)
     return 0
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
-    from repro.workloads.registry import list_workloads, trace_workloads
+    from repro.scenarios import CATALOG
+    from repro.workloads.registry import list_workloads
     from repro.workloads.spec2000 import SPEC2000_PROFILES
 
-    traces = trace_workloads()
     for name in list_workloads(order=args.order):
-        profile = SPEC2000_PROFILES.get(name)
-        if profile is not None:
-            kind, detail = profile.suite, profile.note
-        else:
-            kind, detail = "trace", traces.get(name, "")
+        profile = SPEC2000_PROFILES[name]
         if args.verbose:
-            print(f"{name:<10} {kind:<6} {detail}")
+            print(f"{name:<10} {profile.suite:<6} {profile.note}")
         else:
-            print(f"{name:<10} {kind}")
-    if args.verbose:
-        from repro.scenarios import CATALOG
-
-        print()
-        print("scenarios (run as scenario:<name>):")
-        for name, scn in CATALOG.items():
-            print(f"scenario:{name:<20} {scn.note}")
+            print(f"{name:<10} {profile.suite}")
+    for name, scn in CATALOG.items():
+        progs = len(scn.programs)
+        phases = max(len(p.phases) for p in scn.programs)
+        shape = []
+        if phases > 1:
+            shape.append(f"{phases} phases")
+        if progs > 1:
+            shape.append(f"{progs}-way interleave/{scn.interleave}")
+        tag = f" [{', '.join(shape)}]" if shape else ""
+        if args.verbose:
+            print(f"scenario:{name:<18}{tag} {scn.note}")
+        else:
+            print(f"scenario:{name}{tag}")
     return 0
 
 
@@ -341,9 +406,6 @@ _BAR_COLUMNS = {
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    if args.id not in EXPERIMENTS:
-        print(f"unknown experiment {args.id!r}; choose from {EXPERIMENTS}", file=sys.stderr)
-        return 2
     mem = _parse_mem(args)
     if mem is _MEM_ERROR:
         return 2
@@ -399,7 +461,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         print(e.args[0], file=sys.stderr)
         return 1
     print(info.describe())
-    print(f"replay with: repro trace replay {args.out}")
+    print(f"replay with: repro run trace:{args.out} --warmup 0")
     return 0
 
 
@@ -428,80 +490,7 @@ def _cmd_trace_ingest(args: argparse.Namespace) -> int:
     if stats.decoded == 0:
         print("no instructions decoded; is this a Spike commit log?", file=sys.stderr)
         return 1
-    print(f"replay with: repro trace replay {args.out}")
-    return 0
-
-
-def _cmd_trace_replay(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import SimSpec
-    from repro.trace.format import TraceError, read_info
-    from repro.trace.sampling import SamplePlan, attach_error
-    from repro.trace.workload import spec_name
-
-    try:
-        info = read_info(args.path)
-    except (OSError, TraceError) as e:
-        print(e, file=sys.stderr)
-        return 1
-    if not info.complete:
-        print(f"{args.path}: incomplete/corrupt trace "
-              "(see `repro trace info --scan`)", file=sys.stderr)
-        return 1
-    if args.check_full and args.sample_ratio is None:
-        print("--check-full only applies to sampled replay; "
-              "pass --sample-ratio too", file=sys.stderr)
-        return 2
-    if args.check_full and args.instructions is not None:
-        # a bounded sampled run spreads its budget across ~1/ratio times
-        # as many source uops as a bounded full run covers, so the two
-        # would describe different trace regions and the error is noise
-        print("--check-full compares whole-trace replays; "
-              "drop --instructions", file=sys.stderr)
-        return 2
-    if args.sample_ratio is not None and args.warmup:
-        # sampling replaces the single up-front warmup with the plan's
-        # per-window warmup; silently dropping the flag would be worse
-        print("--warmup does not apply to sampled replay (the sampling "
-              "plan warms each window); drop it", file=sys.stderr)
-        return 2
-    machine = _run_machine(args.lsq)
-    mem = _parse_mem(args)
-    if mem is _MEM_ERROR:
-        return 2
-    name = spec_name(args.path)
-    n = args.instructions if args.instructions is not None else info.count
-    sample = None
-    if args.sample_ratio is not None:
-        try:
-            plan = SamplePlan.from_ratio(args.sample_ratio, period=args.sample_period)
-        except ValueError as e:
-            print(e, file=sys.stderr)
-            return 2
-        sample = plan.key()
-    specs = [SimSpec.make(name, machine, n, args.warmup if sample is None else 0,
-                          args.seed, sample=sample, mem=mem,
-                          warm_engine=args.warm_engine)]
-    if sample is not None and args.check_full:
-        specs.append(SimSpec.make(name, machine, n, args.warmup, args.seed, mem=mem))
-    try:
-        results = _session(args).run_many(specs, jobs=args.jobs)
-    except TraceError as e:
-        # a frame can be corrupt even when the footer verifies (the
-        # pre-check above is footer-only); fail cleanly, not mid-traceback
-        print(e, file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(e, file=sys.stderr)  # e.g. no complete sampling window
-        return 1
-    res = results[0]
-    if sample is not None and args.check_full:
-        # detach from the runner's memo before annotating: the cached
-        # object must not accumulate this invocation's error fields
-        from repro.core.pipeline import SimResult
-
-        res = SimResult.from_dict(res.to_dict())
-        attach_error(res, results[1])
-    _print_result(name, res)
+    print(f"replay with: repro run trace:{args.out} --warmup 0")
     return 0
 
 
@@ -566,8 +555,6 @@ def _raise_interrupt(signum, frame):
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    import json
-
     from repro.service.client import ServiceClient, ServiceClientError
 
     machine = _run_machine(args.lsq)
@@ -609,18 +596,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     except OSError as e:
         print(f"cannot reach service at {args.server}: {e}", file=sys.stderr)
         return 1
-    if args.json:
-        doc = [
-            {"workload": w, "machine": machine[0], "result": res.to_dict()}
-            for w, res in zip(args.workload, results)
-        ]
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    for w, res in zip(args.workload, results):
-        _print_result(w, res)
-    if args.json:
-        print(f"report written to {args.json}")
+    _write_report(args, machine, mem, results)
     return 0
 
 
@@ -643,25 +619,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if clearance.tmp:
         msg += f", reaped {clearance.tmp} abandoned .tmp files"
     print(msg)
-    return 0
-
-
-def _cmd_scenarios_list(args: argparse.Namespace) -> int:
-    from repro.scenarios import CATALOG
-
-    for name, scn in CATALOG.items():
-        progs = len(scn.programs)
-        phases = max(len(p.phases) for p in scn.programs)
-        shape = []
-        if phases > 1:
-            shape.append(f"{phases} phases")
-        if progs > 1:
-            shape.append(f"{progs}-way interleave/{scn.interleave}")
-        tag = f" [{', '.join(shape)}]" if shape else ""
-        if args.verbose:
-            print(f"{name:<18}{tag} {scn.note}")
-        else:
-            print(f"{name}{tag}")
     return 0
 
 
@@ -693,16 +650,6 @@ def _cmd_scenarios_show(args: argparse.Namespace) -> int:
     print("  canonical spec (the cache identity):")
     print(f"    scenario:{canonical_json(scn)}")
     return 0
-
-
-def _cmd_scenarios_run(args: argparse.Namespace) -> int:
-    from repro.scenarios import SCENARIO_SCHEME
-
-    args.workload = [
-        n if n.startswith(SCENARIO_SCHEME) else SCENARIO_SCHEME + n
-        for n in args.scenario
-    ]
-    return _cmd_run(args)
 
 
 def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
@@ -823,14 +770,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="samie-repro", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    sub.add_parser("list", help="list workloads and experiments").set_defaults(fn=_cmd_list)
-
-    wl_p = sub.add_parser("workloads", help="list workloads with suite/kind detail")
+    wl_p = sub.add_parser("workloads", help="list the workloads `run` accepts")
     wl_p.add_argument("--order", default="name", choices=["name", "paper"],
-                      help="sort by name or by the paper's figure x-axis order")
+                      help="sort the synthetic suite by name or by the "
+                           "paper's figure x-axis order")
     wl_p.add_argument("--verbose", action="store_true",
-                      help="include each profile's descriptive note")
+                      help="include each workload's descriptive note")
     wl_p.set_defaults(fn=_cmd_workloads)
+
+    def add_mem_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--mem", default=None, metavar="K=V[,K=V...]",
+                       help="memory-hierarchy overrides (MemConfig fields "
+                            "plus l1d_sets/l1d_ways sugar), e.g. "
+                            "--mem mshr_entries=4,l1d_sets=128; "
+                            "mshr_entries=1,mshr_targets=1 selects the "
+                            "instant-fill model (full latency per miss, "
+                            "line installed at access time)")
 
     def add_sweep_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=1,
@@ -840,28 +795,47 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="result-store directory (default "
                             "~/.cache/samie-repro)")
-        p.add_argument("--mem", default=None, metavar="K=V[,K=V...]",
-                       help="memory-hierarchy overrides (MemConfig fields "
-                            "plus l1d_sets/l1d_ways sugar), e.g. "
-                            "--mem mshr_entries=4,l1d_sets=128; "
-                            "mshr_entries=1,mshr_targets=1 restores the "
-                            "blocking-cache model")
 
-    def add_scale_flags(p: argparse.ArgumentParser) -> None:
+    def add_artefact_flags(p: argparse.ArgumentParser) -> None:
+        """Scale and memory overrides of figure/all/scenarios sweep."""
         p.add_argument("--instructions", type=int, default=None,
                        help="measured instructions per simulation (default 6000)")
         p.add_argument("--warmup", type=int, default=None,
                        help="warmup instructions per simulation (default 3000)")
+        add_mem_flag(p)
+
+    def add_spec_flags(p: argparse.ArgumentParser) -> None:
+        """The workload batch and the flags that shape its specs (run, submit)."""
+        p.add_argument("workload", nargs="+",
+                       help="synthetic name (see `workloads`), scenario:<name> "
+                            "or trace:<path>")
+        p.add_argument("--lsq", default="samie",
+                       choices=["conventional", "unbounded", "samie", "arb"])
+        p.add_argument("--instructions", type=int, default=None,
+                       help=f"measured instructions per simulation (default "
+                            f"{RUN_INSTRUCTIONS}; a trace: workload runs whole)")
+        p.add_argument("--warmup", type=int, default=None,
+                       help=f"warmup instructions per simulation (default "
+                            f"{RUN_WARMUP})")
+        p.add_argument("--seed", type=int, default=1)
+        add_mem_flag(p)
+        p.add_argument("--json", default=None, metavar="PATH",
+                       help="also write the results as a JSON report here")
 
     run_p = sub.add_parser("run", help="simulate one or more workloads")
-    run_p.add_argument("workload", nargs="+")
-    run_p.add_argument("--lsq", default="samie",
-                       choices=["conventional", "unbounded", "samie", "arb"])
-    run_p.add_argument("--instructions", type=int, default=20000)
-    run_p.add_argument("--warmup", type=int, default=5000)
-    run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--json", default=None, metavar="PATH",
-                       help="also write the results as a JSON report here")
+    add_spec_flags(run_p)
+    run_p.add_argument("--sample-ratio", type=float, default=None, metavar="R",
+                       help="systematic sampling: measure fraction R of the "
+                            "stream (e.g. 0.1); --instructions bounds the "
+                            "measured instructions")
+    run_p.add_argument("--sample-period", type=int, default=10000,
+                       help="sampling interval length in instructions "
+                            "(long periods keep splice boundaries rare "
+                            "relative to MSHR stall backlogs)")
+    run_p.add_argument("--check-full", action="store_true",
+                       help="with --sample-ratio on trace: workloads, also run "
+                            "each whole trace and report the sampled-vs-full "
+                            "IPC error")
     run_p.add_argument("--profile", action="store_true",
                        help="per-stage time + structure-occupancy report "
                             "(instrumented run; bypasses the result cache)")
@@ -872,19 +846,19 @@ def main(argv: list[str] | None = None) -> int:
     run_p.set_defaults(fn=_cmd_run)
 
     fig_p = sub.add_parser("figure", help="regenerate one paper artefact")
-    fig_p.add_argument("id")
-    add_scale_flags(fig_p)
+    fig_p.add_argument("id", choices=EXPERIMENTS, help="paper artefact")
+    add_artefact_flags(fig_p)
     add_sweep_flags(fig_p)
     fig_p.set_defaults(fn=_cmd_figure)
 
     all_p = sub.add_parser("all", help="regenerate every artefact")
     all_p.add_argument("--out", default=None,
                        help="also write per-artefact .txt/.json files here")
-    add_scale_flags(all_p)
+    add_artefact_flags(all_p)
     add_sweep_flags(all_p)
     all_p.set_defaults(fn=_cmd_all)
 
-    trace_p = sub.add_parser("trace", help="record/replay/inspect uop traces")
+    trace_p = sub.add_parser("trace", help="record/inspect/ingest uop traces")
     trace_sub = trace_p.add_subparsers(dest="trace_cmd", required=True)
 
     rec_p = trace_sub.add_parser("record", help="record a synthetic workload to .uoptrace")
@@ -893,8 +867,8 @@ def main(argv: list[str] | None = None) -> int:
     rec_p.add_argument("--uops", type=int, default=None,
                        help="records to capture (default: sized from "
                             "--instructions/--warmup plus fetch slack)")
-    rec_p.add_argument("--instructions", type=int, default=20000)
-    rec_p.add_argument("--warmup", type=int, default=5000)
+    rec_p.add_argument("--instructions", type=int, default=RUN_INSTRUCTIONS)
+    rec_p.add_argument("--warmup", type=int, default=RUN_WARMUP)
     rec_p.add_argument("--seed", type=int, default=1)
     rec_p.set_defaults(fn=_cmd_trace_record)
 
@@ -909,42 +883,11 @@ def main(argv: list[str] | None = None) -> int:
     ing_p.add_argument("-o", "--out", required=True, help="output .uoptrace path")
     ing_p.set_defaults(fn=_cmd_trace_ingest)
 
-    rep_p = trace_sub.add_parser("replay", help="simulate a recorded trace")
-    rep_p.add_argument("path")
-    rep_p.add_argument("--lsq", default="samie",
-                       choices=["conventional", "unbounded", "samie", "arb"])
-    rep_p.add_argument("--instructions", type=int, default=None,
-                       help="commit budget (default: the whole trace)")
-    rep_p.add_argument("--warmup", type=int, default=0)
-    rep_p.add_argument("--seed", type=int, default=1)
-    rep_p.add_argument("--sample-ratio", type=float, default=None, metavar="R",
-                       help="systematic sampling: measure fraction R of the "
-                            "stream (e.g. 0.1)")
-    rep_p.add_argument("--sample-period", type=int, default=10000,
-                       help="sampling interval length in instructions "
-                            "(long periods keep splice boundaries rare "
-                            "relative to MSHR stall backlogs)")
-    rep_p.add_argument("--warm-engine", default="vector",
-                       choices=["scalar", "vector"],
-                       help="functional-warming backend for sampled replay "
-                            "(bit-identical by contract; scalar is the "
-                            "reference model, vector the fast default)")
-    rep_p.add_argument("--check-full", action="store_true",
-                       help="also run the full replay and report the "
-                            "sampled-vs-full IPC error")
-    add_sweep_flags(rep_p)
-    rep_p.set_defaults(fn=_cmd_trace_replay)
-
     scn_p = sub.add_parser(
         "scenarios",
-        help="list/show/run/sweep the declarative scenario catalog",
+        help="show/sweep the declarative scenario catalog",
     )
     scn_sub = scn_p.add_subparsers(dest="scn_cmd", required=True)
-
-    scn_list = scn_sub.add_parser("list", help="list catalog scenarios")
-    scn_list.add_argument("--verbose", action="store_true",
-                          help="include each scenario's descriptive note")
-    scn_list.set_defaults(fn=_cmd_scenarios_list)
 
     scn_show = scn_sub.add_parser(
         "show", help="describe one scenario (phases, interleave, cache key)")
@@ -952,27 +895,12 @@ def main(argv: list[str] | None = None) -> int:
                           help="catalog name or inline scenario:{json} spec")
     scn_show.set_defaults(fn=_cmd_scenarios_show)
 
-    scn_run = scn_sub.add_parser(
-        "run", help="simulate scenarios (sugar for `run scenario:<name>`)")
-    scn_run.add_argument("scenario", nargs="+",
-                         help="catalog name or inline scenario:{json} spec")
-    scn_run.add_argument("--lsq", default="samie",
-                         choices=["conventional", "unbounded", "samie", "arb"])
-    scn_run.add_argument("--instructions", type=int, default=20000)
-    scn_run.add_argument("--warmup", type=int, default=5000)
-    scn_run.add_argument("--seed", type=int, default=1)
-    scn_run.add_argument("--json", default=None, metavar="PATH",
-                         help="also write the results as a JSON report here")
-    add_sweep_flags(scn_run)
-    scn_run.set_defaults(fn=_cmd_scenarios_run, profile=False, cycle_trace=None)
-
     scn_sweep = scn_sub.add_parser(
         "sweep", help="scenario x LSQ-geometry stress matrix")
     scn_sweep.add_argument("scenario", nargs="*",
                            help="catalog names / scenario: specs "
                                 "(default: the whole catalog)")
-    scn_sweep.add_argument("--instructions", type=int, default=None)
-    scn_sweep.add_argument("--warmup", type=int, default=None)
+    add_artefact_flags(scn_sweep)
     scn_sweep.add_argument("--seed", type=int, default=1)
     scn_sweep.add_argument("--json", default=None, metavar="PATH",
                            help="write the matrix as a JSON artefact here")
@@ -1050,22 +978,13 @@ def main(argv: list[str] | None = None) -> int:
     srv_p.set_defaults(fn=_cmd_serve)
 
     sub_p = sub.add_parser("submit", help="submit a workload batch to a running service")
-    sub_p.add_argument("workload", nargs="+")
+    add_spec_flags(sub_p)
     sub_p.add_argument("--server", default="http://127.0.0.1:8421",
                        help="service base URL")
-    sub_p.add_argument("--lsq", default="samie",
-                       choices=["conventional", "unbounded", "samie", "arb"])
-    sub_p.add_argument("--instructions", type=int, default=20000)
-    sub_p.add_argument("--warmup", type=int, default=5000)
-    sub_p.add_argument("--seed", type=int, default=1)
-    sub_p.add_argument("--mem", default=None, metavar="K=V[,K=V...]",
-                       help="memory-hierarchy overrides (as in `run`)")
     sub_p.add_argument("--stream", action="store_true",
                        help="follow per-job progress events while waiting")
     sub_p.add_argument("--timeout", type=float, default=300.0,
                        help="seconds to wait for the batch (default 300)")
-    sub_p.add_argument("--json", default=None, metavar="PATH",
-                       help="also write the results as a JSON report here")
     sub_p.set_defaults(fn=_cmd_submit)
 
     top_p = sub.add_parser("top", help="live terminal view of a running service")

@@ -877,7 +877,7 @@ class Pipeline:
         if dports._used:
             dports._used = 0
         dmshr = mem.dmshr
-        if not dmshr.blocking:
+        if not dmshr.instant_fill:
             if dmshr._inflight:
                 dmshr.retire(mem_cycle)
             imshr = mem.imshr

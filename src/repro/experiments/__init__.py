@@ -1,7 +1,8 @@
 """Experiment drivers: one module per paper figure/table.
 
 Every driver exposes ``compute(..., jobs=N) -> FigureResult`` returning
-the same rows/series the paper reports, plus a ``main()`` for CLI use.
+the same rows/series the paper reports; ``repro figure ID``, ``repro
+all`` and ``repro scenarios sweep`` are their command-line entry points.
 Drivers build :class:`~repro.experiments.runner.SimSpec` batches and hand
 them to :func:`~repro.experiments.runner.run_many` on the ``session=``
 they are given (default: the runner's default session), which memoises
@@ -27,7 +28,6 @@ from repro.experiments.runner import (
     parse_mem_overrides,
     validate_mem_spec,
     run_many,
-    run_pair,
     run_spec,
     suite_pairs,
     sweep,
@@ -48,7 +48,6 @@ __all__ = [
     "parse_mem_overrides",
     "validate_mem_spec",
     "run_many",
-    "run_pair",
     "run_spec",
     "suite_pairs",
     "sweep",

@@ -77,11 +77,3 @@ def compute(
         summary=summary,
         notes=f"mean over {len(names)} workloads",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(compute().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -49,11 +49,3 @@ def compute(
             "total_benches": len(savings),
         },
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(compute().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

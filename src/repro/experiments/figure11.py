@@ -48,11 +48,3 @@ def compute(
             "benches_where_samie_worse": int_worse,
         },
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(compute().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -58,11 +58,3 @@ def compute(
         rows=rows,
         summary=summary,
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(compute().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -52,11 +52,3 @@ def compute(
         notes="per-benchmark p99 occupancies: "
         + ", ".join(f"{w}={v}" for w, v in sorted(p99s.items())),
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(compute().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

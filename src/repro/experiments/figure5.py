@@ -45,11 +45,3 @@ def compute(
             "paper_worst_bench_is_ammp": 1.0 if worst[0] == "ammp" else 0.0,
         },
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(compute().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

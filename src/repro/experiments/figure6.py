@@ -39,11 +39,3 @@ def compute(
             "benches_above_50": sum(1 for r in rates.values() if r > 50.0),
         },
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(compute().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -50,11 +50,3 @@ def compute(
             "mean_shared+ab_pct_others": sum(others) / len(others) if others else 0.0,
         },
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(compute().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -47,11 +47,3 @@ def compute(
             "paper_max_saving_pct": 58.0,
         },
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(compute().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -22,9 +22,9 @@ Execution and caching live in :mod:`repro.service`:
 This module keeps the **stable spec vocabulary** (``SimSpec``,
 ``lsq_spec``, ``mem_spec``, the canonical machines) plus thin,
 bit-identical facades over a session: :func:`run_spec` (the pure worker
-body), :func:`run_many`, :func:`sweep`, :func:`suite_pairs` and
-:func:`run_pair`.  Every facade accepts ``session=`` to target an
-explicit :class:`SimService` (or a
+body), :func:`run_many`, :func:`sweep` and :func:`suite_pairs`.  Every
+facade accepts ``session=`` to target an explicit :class:`SimService`
+(or a
 :class:`~repro.service.client.ServiceClient` speaking to a remote one);
 with ``session=None`` they share :func:`default_session`, built once
 over this module's memo and the default ``CacheConfig()`` store.
@@ -260,9 +260,9 @@ def config_token(cfg: ProcessorConfig | None) -> str:
 
 
 def _canonical_workload(workload: str) -> str:
-    """Registered trace aliases and relative ``trace:`` paths resolve to
-    one canonical ``trace:<abspath>`` name -- one file, one cache
-    identity, resolvable in pool workers regardless of their cwd.
+    """A relative ``trace:`` path resolves to the canonical
+    ``trace:<abspath>`` name -- one file, one cache identity,
+    resolvable in pool workers regardless of their cwd.
     ``scenario:`` specs resolve to ``scenario:<canonical-json>`` -- a
     catalog name and the equivalent inline doc share one cache identity,
     and the canonical form is self-contained in pool workers."""
@@ -305,7 +305,7 @@ def _spec_key(
     Every component is a JSON-stable scalar (the store compares the key
     after a JSON round trip, which would turn a tuple into a list).  The
     workload is canonicalised here too, so specs naming the same trace
-    by alias, relative or absolute path share one cache identity -- and
+    by relative or absolute path share one cache identity -- and
     a trace replay's seed is normalised away (recorded streams are
     independent of it; distinct seeds must not duplicate cache entries).
     """
@@ -330,8 +330,8 @@ class SimSpec:
     All fields are picklable; ``key`` is the stable memo/cache identity
     (``machine_key`` is required to uniquely name the LSQ geometry, as it
     always has for the in-process memo).  ``workload`` is a synthetic
-    profile name or a canonical ``trace:<path>`` replay name (session
-    -registered trace aliases are canonicalised by :meth:`make`, so specs
+    profile name, a canonical ``scenario:`` spec or a canonical
+    ``trace:<abspath>`` replay name (:meth:`make` canonicalises, so specs
     stay resolvable inside pool workers).  ``sample`` is an optional
     ``(period, warmup, measure)`` systematic-sampling plan; when set, the
     per-window plan warmup replaces the spec-level ``warmup`` and
@@ -528,34 +528,18 @@ def sweep(
 ) -> dict[tuple[str, str], SimResult]:
     """Cross-product convenience: {(workload, machine_key): result}.
 
-    Results are keyed by the workload names the caller passed (a trace
-    alias stays an alias here), even though the underlying specs carry
-    canonical names.  ``mem`` applies one :func:`mem_spec` override set
-    to every point; for a cache-geometry cross-product build the
-    ``SimSpec`` batch directly with per-point ``mem=`` values.
+    Results are keyed by the workload names the caller passed (a
+    relative ``trace:`` path stays relative here), even though the
+    underlying specs carry canonical names.  ``mem`` applies one
+    :func:`mem_spec` override set to every point; for a cache-geometry
+    cross-product build the ``SimSpec`` batch directly with per-point
+    ``mem=`` values.
     """
     machines = list(machines)
     pairs = [(w, m) for w in workloads for m in machines]
     specs = [SimSpec.make(w, m, instructions, warmup, seed, mem=mem) for w, m in pairs]
     results = run_many(specs, jobs=jobs, session=session)
     return {(w, m[0]): r for (w, m), r in zip(pairs, results)}
-
-
-def run_pair(
-    workload: str,
-    instructions: int | None = None,
-    warmup: int | None = None,
-    seed: int = 1,
-    mem: MemSpec | dict | None = None,
-    session=None,
-) -> tuple[SimResult, SimResult]:
-    """(conventional, SAMIE) results for one workload."""
-    specs = [
-        SimSpec.make(workload, MACHINE_CONV128, instructions, warmup, seed, mem=mem),
-        SimSpec.make(workload, MACHINE_SAMIE, instructions, warmup, seed, mem=mem),
-    ]
-    base, samie = run_many(specs, jobs=1, session=session)
-    return base, samie
 
 
 def suite_pairs(

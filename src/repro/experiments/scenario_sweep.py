@@ -79,11 +79,3 @@ def compute(
             "worst_ipc": worst[2] if rows else 0.0,
         },
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(compute().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -83,11 +83,3 @@ def compute(instructions: int | None = None, warmup: int | None = None,
         rows=rows,
         summary=summary,
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(compute().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

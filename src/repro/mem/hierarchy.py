@@ -12,8 +12,10 @@ entry -- they stall only until fill completion instead of paying a fresh
 miss.  When the MSHR file (or an entry's target slots) is exhausted the
 access is structurally stalled: :meth:`daccess_blocked` reports it and
 the pipeline retries next cycle.  The degenerate geometry
-``mshr_entries=1, mshr_targets=1`` short-circuits all of this and
-reproduces the historical blocking-cache cycle counts bit-identically.
+``mshr_entries=1, mshr_targets=1`` short-circuits all of this: the
+instant-fill model charges each miss its own full latency, lets any
+number of misses be outstanding and installs the line at access time,
+reproducing the pre-MSHR model's cycle counts bit-identically.
 
 The paper's performance study deliberately does *not* exploit the lower
 access time of known-way accesses (§3.6); ``fast_way_hit_latency`` exists
@@ -63,8 +65,10 @@ class MemConfig:
     tlb_miss_latency: int = 30
 
     #: miss-status holding registers per cache side (non-blocking fills);
-    #: ``mshr_entries=1, mshr_targets=1`` degenerates to a blocking cache
-    #: that reproduces the pre-MSHR model bit-identically
+    #: ``mshr_entries=1, mshr_targets=1`` selects the instant-fill model
+    #: (full latency per miss, unbounded outstanding misses, line
+    #: installed at access time) that reproduces the pre-MSHR model
+    #: bit-identically
     mshr_entries: int = 8
     mshr_targets: int = 4
 
@@ -140,7 +144,7 @@ class MemoryHierarchy:
         # hot path: skip the retire scans entirely while nothing is in
         # flight (the common case for the I-side and quiet D-side phases)
         dmshr = self.dmshr
-        if not dmshr.blocking:
+        if not dmshr.instant_fill:
             if dmshr._inflight:
                 dmshr.retire(cycle)
             if self.imshr._inflight:
@@ -183,7 +187,7 @@ class MemoryHierarchy:
         even when a store turns ``done`` after commit already ran.
         """
         mshr = self.dmshr
-        if mshr.blocking:
+        if mshr.instant_fill:
             return False
         line = addr >> self.l1d.line_shift
         entry = mshr.lookup(line)
@@ -245,8 +249,8 @@ class MemoryHierarchy:
         """
         c = self.cfg
         line = addr >> self.l1d.line_shift
-        if self.dmshr.blocking:
-            # blocking cache: the historical model, charged synchronously
+        if self.dmshr.instant_fill:
+            # instant fill: the pre-MSHR model, full latency per miss
             tlb_hit = True
             latency = 0
             if not skip_tlb:
@@ -265,7 +269,7 @@ class MemoryHierarchy:
                 latency += c.l1d_latency + miss_lat
             return DAccessOutcome(latency, l1res, l1res.hit, l2_hit, tlb_hit)
 
-        # non-blocking: resolve the MSHR question before touching state,
+        # tracked fills: resolve the MSHR question before touching state,
         # so a blocked access leaves caches/TLB stats untouched
         entry = self.dmshr.lookup(line)
         if entry is not None and not self.dmshr.can_merge(entry):
@@ -308,7 +312,7 @@ class MemoryHierarchy:
         """Fetch-side access for the instruction at ``pc``; returns latency.
 
         The fetch stage blocks on the returned latency rather than
-        retrying, so I-side MSHR exhaustion falls back to blocking-style
+        retrying, so I-side MSHR exhaustion falls back to instant-fill
         accounting (full miss latency, nothing tracked) instead of a
         structural stall.
         """
@@ -317,7 +321,7 @@ class MemoryHierarchy:
         latency = 0 if tlb_hit else self.itlb.miss_latency
         line = pc >> self.l1i.line_shift
         mshr = self.imshr
-        if not mshr.blocking:
+        if not mshr.instant_fill:
             entry = mshr.lookup(line)
             if entry is not None and mshr.merge(entry):
                 self.l1i.access(line, write=False)
@@ -327,7 +331,7 @@ class MemoryHierarchy:
             return latency + c.l1i_latency
         miss_lat, _ = self._miss_latency(pc, write=False)
         fill_lat = c.l1i_latency + miss_lat
-        if not mshr.blocking:
+        if not mshr.instant_fill:
             if mshr.can_allocate():
                 mshr.allocate(line, self.cycle + fill_lat)
             else:

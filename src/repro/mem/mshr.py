@@ -11,13 +11,15 @@ stall the pipeline models by retrying the access each cycle; likewise a
 secondary access finding its entry's target slots exhausted waits for
 the fill.
 
-The degenerate geometry ``entries=1, targets=1`` is a *blocking* cache:
-the single entry's single slot belongs to the primary miss, so nothing
-can ever overlap it.  In this latency-accounting model a blocking miss
-is charged synchronously to the access (the machine stalls through it),
-so :attr:`MSHRFile.blocking` short-circuits the whole mechanism and the
-hierarchy reproduces the pre-MSHR model's cycle counts bit-identically
-(guarded by ``tests/test_mshr.py``).
+The degenerate geometry ``entries=1, targets=1`` selects the
+*instant-fill* model instead, and :attr:`MSHRFile.instant_fill`
+short-circuits the whole mechanism: each miss is charged its own full
+latency, any number of misses may be outstanding (nothing is tracked,
+so nothing stalls on MSHR exhaustion), and the line is installed at
+access time, so later accesses to it hit at L1 latency before the fill
+could have returned.  It does not block.  It reproduces the pre-MSHR
+model's cycle counts bit-identically (guarded by
+``tests/test_mshr.py``).
 
 Miss merging follows standard memory-system practice (cf. the cache
 -simulation methodology of arXiv:1406.5000 and the in-flight allocation
@@ -56,7 +58,7 @@ class MSHRStats:
     retired: int = 0
     entry_stall_cycles: int = 0
     target_stall_cycles: int = 0
-    fallback_blocking: int = 0  # i-side: exhausted file served blocking-style
+    fallback_blocking: int = 0  # i-side: exhausted file charged as instant-fill
     peak_inflight: int = 0
 
 
@@ -80,9 +82,9 @@ class MSHRFile:
         self.name = name
         self.entries = entries
         self.targets = targets
-        #: 1x1 cannot overlap anything: the hierarchy treats it as the
-        #: blocking-cache model (see module docstring)
-        self.blocking = entries == 1 and targets == 1
+        #: 1x1 selects the instant-fill model: no MSHR is tracked and
+        #: every miss is charged its full latency (see module docstring)
+        self.instant_fill = entries == 1 and targets == 1
         self._inflight: dict[int, MSHREntry] = {}
         #: earliest outstanding fill completion; lets the per-cycle retire
         #: poll skip the scan until something can actually complete

@@ -5,9 +5,10 @@ Three pillars (see ROADMAP.md "Trace subsystem"):
 * :mod:`repro.trace.format` -- the ``.uoptrace`` container: a compact,
   versioned, deflate-framed binary stream of
   :class:`~repro.isa.uop.UOp` records with a streaming
-  :class:`~repro.trace.format.TraceWriter` /
-  :class:`~repro.trace.format.TraceReader` pair, per-frame CRCs and a
-  seekable footer carrying the record count and content digest.
+  :class:`~repro.trace.format.TraceWriter` and one reader,
+  :class:`~repro.trace.format.TraceStream` (``UOp`` objects or columnar
+  record batches from one cursor), per-frame CRCs and a seekable footer
+  carrying the record count and content digest.
 * :mod:`repro.trace.spike` -- parser for Spike RISC-V commit logs (the
   riscv-pythia format, plus the ``mem``-annotated variant), decoding
   loads/stores/branches/ALU ops into the uop stream.  A small fixture
@@ -19,9 +20,10 @@ Three pillars (see ROADMAP.md "Trace subsystem"):
   (:mod:`repro.trace.fastwarm`), bit-identical by contract.
 
 :mod:`repro.trace.workload` adapts a trace file into the workload
-registry (``trace:<path>`` spec names), so the pipeline, the sweep
-engine (`SimSpec`/`run_many`, disk cache, process pool), the CLI and the
-figure drivers replay recorded traces unchanged.
+registry: ``trace:<path>`` is the one name of a trace, so the pipeline,
+the sweep engine (`SimSpec`/`run_many`, disk cache, process pool), the
+CLI (``repro run trace:<path>``) and the figure drivers replay recorded
+traces unchanged.
 """
 
 from repro.trace.format import (
@@ -29,7 +31,6 @@ from repro.trace.format import (
     TraceCorruptError,
     TraceError,
     TraceInfo,
-    TraceReader,
     TraceStream,
     TraceWriter,
     read_info,
@@ -45,19 +46,13 @@ from repro.trace.sampling import (
     run_sampled,
 )
 from repro.trace.spike import SpikeStats, ingest_spike_log, parse_spike_log
-from repro.trace.workload import (
-    TraceWorkload,
-    fixture_path,
-    record_trace,
-    recommended_uops,
-)
+from repro.trace.workload import fixture_path, record_trace, recommended_uops
 
 __all__ = [
     "FORMAT_VERSION",
     "TraceError",
     "TraceCorruptError",
     "TraceInfo",
-    "TraceReader",
     "TraceStream",
     "TraceWriter",
     "read_info",
@@ -72,7 +67,6 @@ __all__ = [
     "SpikeStats",
     "parse_spike_log",
     "ingest_spike_log",
-    "TraceWorkload",
     "fixture_path",
     "record_trace",
     "recommended_uops",

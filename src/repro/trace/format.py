@@ -29,7 +29,7 @@ Integrity: every frame carries a CRC of its payload, and the footer
 carries the total record count plus a CRC *chain* (CRC-32 folded over
 the uncompressed payload of every frame, in order) that acts as the
 content digest.  A file whose footer is missing or unreadable was
-truncated mid-write; :class:`TraceReader` either raises
+truncated mid-write; :class:`TraceStream` either raises
 (``strict=True``, the default) or yields every record up to the last
 intact frame (``strict=False``), which is the recovery path for
 partially written traces.
@@ -228,7 +228,7 @@ def _digest(crc_chain: int, count: int) -> str:
     return f"crc32:{crc_chain:08x}:{count}"
 
 
-def _read_header(fh: io.BufferedReader, path: str) -> tuple[int, dict, int]:
+def _read_header(fh: io.BufferedReader, path: str) -> tuple[int, dict]:
     head = fh.read(_HEAD.size)
     if len(head) != _HEAD.size:
         raise TraceCorruptError(f"{path}: too short for a .uoptrace header")
@@ -247,7 +247,7 @@ def _read_header(fh: io.BufferedReader, path: str) -> tuple[int, dict, int]:
         meta = json.loads(raw.decode())
     except ValueError as e:
         raise TraceCorruptError(f"{path}: unreadable meta header: {e}") from None
-    return version, meta, _HEAD.size + hdr_len
+    return version, meta
 
 
 def _parse_footer(raw: bytes) -> tuple[int, int, int] | None:
@@ -274,13 +274,45 @@ def _read_footer(path: str) -> tuple[int, int, int] | None:
     return _parse_footer(raw)
 
 
-class TraceReader:
-    """Streaming reader; iterate to get :class:`~repro.isa.uop.UOp`\\ s.
+_RECORD_DTYPE = np.dtype(
+    [
+        ("pc", "<u8"), ("addr", "<u8"), ("target", "<u8"),
+        ("size", "<u2"), ("src1", "<u2"), ("src2", "<u2"),
+        ("op", "u1"), ("flags", "u1"),
+    ]
+)
+assert _RECORD_DTYPE.itemsize == RECORD_BYTES
+
+
+def record_dtype():
+    """Numpy structured dtype mirroring one 32-byte ``_RECORD`` struct.
+
+    Field order/widths match ``'<QQQHHHBB'`` exactly, so a frame's raw
+    bytes reinterpret as a record array with ``np.frombuffer`` -- the
+    zero-copy decode under :meth:`TraceStream.take_batch`.
+    """
+    return _RECORD_DTYPE
+
+
+class TraceStream:
+    """Streaming reader over one trace file, scalar and batched.
+
+    Iterating yields :class:`~repro.isa.uop.UOp`\\ s; :meth:`take_batch`
+    drains up to ``n`` records *from the same cursor* as a numpy record
+    array (:func:`record_dtype` layout, zero-copy views of the frame
+    bytes) without constructing UOp objects.  The sampled-run skip path
+    uses it, and so does the pipeline's fetch stage, which therefore
+    reads a trace up to one batch (256 records) ahead of the
+    instructions it has fetched.  The two access styles may be freely
+    interleaved.
 
     ``strict=True`` (default) raises :class:`TraceCorruptError` on a
     truncated or corrupt frame; ``strict=False`` stops cleanly after the
     last intact frame instead (recovery mode).  The meta header is
-    available as :attr:`meta` immediately after construction.
+    available as :attr:`meta` immediately after construction;
+    :attr:`complete` turns True once reading ended at a well-formed
+    footer, and :attr:`count_read` counts the records of every frame
+    loaded so far.
     """
 
     def __init__(self, path: str, strict: bool = True):
@@ -288,27 +320,37 @@ class TraceReader:
         self.strict = strict
         self._fh = open(path, "rb")
         try:
-            self.version, self.meta, self._data_start = _read_header(self._fh, path)
+            self.version, self.meta = _read_header(self._fh, path)
         except BaseException:
             self._fh.close()
             raise
         self._file_size = os.path.getsize(path)
         self.count_read = 0
         self.crc_chain = 0
-        #: True once iteration ended at a well-formed footer
         self.complete = False
+        self._raw = b""
+        self._n = 0          # records in the current frame
+        self._idx = 0        # records consumed from the current frame
+        self._scalar = None  # iter_unpack cursor aligned with _idx
+        self._seq = 0
 
     def close(self) -> None:
         self._fh.close()
 
-    def __enter__(self) -> "TraceReader":
+    def __enter__(self) -> "TraceStream":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
+    def __del__(self):  # pragma: no cover - GC safety net
+        try:
+            self.close()
+        except Exception:
+            pass
+
     def _fail(self, msg: str) -> bool:
-        """Raise in strict mode; report "stop iterating" otherwise."""
+        """Raise in strict mode; report "stop reading" otherwise."""
         if self.strict:
             raise TraceCorruptError(f"{self.path}: {msg}")
         return False
@@ -360,98 +402,17 @@ class TraceReader:
         self.crc_chain = zlib.crc32(raw, self.crc_chain)
         return raw
 
-    def __iter__(self) -> Iterator[UOp]:
-        ops = OP_BY_CODE
-        make = UOp
-        while True:
-            raw = self._next_frame()
-            if raw is None:
-                return
-            seq = self.count_read
-            for pc, addr, target, size, src1, src2, op, flags in _RECORD.iter_unpack(raw):
-                yield make(seq, pc, ops[op], src1=src1, src2=src2,
-                           addr=addr, size=size, taken=flags == 1, target=target)
-                seq += 1
-            self.count_read = seq
-
-
-_RECORD_DTYPE = np.dtype(
-    [
-        ("pc", "<u8"), ("addr", "<u8"), ("target", "<u8"),
-        ("size", "<u2"), ("src1", "<u2"), ("src2", "<u2"),
-        ("op", "u1"), ("flags", "u1"),
-    ]
-)
-assert _RECORD_DTYPE.itemsize == RECORD_BYTES
-
-
-def record_dtype():
-    """Numpy structured dtype mirroring one 32-byte ``_RECORD`` struct.
-
-    Field order/widths match ``'<QQQHHHBB'`` exactly, so a frame's raw
-    bytes reinterpret as a record array with ``np.frombuffer`` -- the
-    zero-copy decode under :meth:`TraceStream.take_batch`.
-    """
-    return _RECORD_DTYPE
-
-
-class TraceStream:
-    """Coherent scalar + batched reader over one trace file.
-
-    Iterating yields :class:`~repro.isa.uop.UOp`\\ s exactly like
-    :class:`TraceReader`; :meth:`take_batch` additionally drains up to
-    ``n`` records *from the same cursor* as a numpy record array
-    (:func:`record_dtype` layout, zero-copy views of the frame bytes)
-    without constructing UOp objects.  The sampled-replay skip path
-    uses it, and so does the pipeline's fetch stage, which therefore
-    reads a trace up to one batch (256 records) ahead of the
-    instructions it has fetched.  The two access styles may be freely
-    interleaved; footer integrity checks are inherited from the
-    underlying reader.
-    """
-
-    def __init__(self, path: str, strict: bool = True):
-        self._reader = TraceReader(path, strict)
-        self._raw = b""
-        self._n = 0          # records in the current frame
-        self._idx = 0        # records consumed from the current frame
-        self._scalar = None  # iter_unpack cursor aligned with _idx
-        self._seq = 0
-
-    @property
-    def meta(self) -> dict:
-        return self._reader.meta
-
-    @property
-    def complete(self) -> bool:
-        return self._reader.complete
-
-    def close(self) -> None:
-        self._reader.close()
-
-    def __enter__(self) -> "TraceStream":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
     def _load_frame(self) -> bool:
-        if self._reader.complete:
+        if self.complete:
             # the footer has been consumed; another _next_frame() would
             # misread EOF as truncation
             return False
-        raw = self._reader._next_frame()
+        raw = self._next_frame()
         if raw is None:
             return False
         self._raw = raw
         self._n = len(raw) // RECORD_BYTES
-        self._reader.count_read += self._n
+        self.count_read += self._n
         self._idx = 0
         self._scalar = None
         return True
@@ -515,7 +476,7 @@ def read_info(path: str, scan: bool = False) -> TraceInfo:
     frame and histograms op classes (and is how an incomplete file's
     recoverable record count is found)."""
     with open(path, "rb") as fh:
-        version, meta, _ = _read_header(fh, path)
+        version, meta = _read_header(fh, path)
     foot = _read_footer(path)
     info = TraceInfo(
         path=path,
@@ -529,7 +490,7 @@ def read_info(path: str, scan: bool = False) -> TraceInfo:
     )
     if scan or foot is None:
         counts: dict[str, int] = {}
-        with TraceReader(path, strict=False) as r:
+        with TraceStream(path, strict=False) as r:
             for u in r:
                 counts[u.op.name] = counts.get(u.op.name, 0) + 1
             info.count = r.count_read

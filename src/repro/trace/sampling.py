@@ -12,22 +12,20 @@ Known caveats (documented in ROADMAP.md):
 
 * cold structures after a skip gap bias windows *slow*; the per-window
   detailed ``warmup`` re-heats them, and SMARTS-style *functional*
-  warming (a warm engine, below) additionally touches the L1
-  caches, TLBs and branch predictor for every skipped uop.  Functional
-  warming is **on by default** since the detailed model gained MSHR
-  miss-merging: full runs now pay the real cost of duplicate in-flight
-  misses themselves (secondary accesses stall until fill completion),
-  so pre-warmed L1 lines no longer erase a stall the full model would
-  have charged.  The **L2 is deliberately not warmed**: its content
-  under capacity pressure depends on the exact L1+MSHR-filtered miss
-  stream, which program-order replay cannot reproduce -- warming it
-  turns window L2 misses into hits wholesale and biases fast.  Pass
-  ``functional_warming=False`` to reproduce the historical detailed
-  -warmup-only behaviour.  Warming uses the hierarchy's stat-free
-  ``warm_*`` paths, which bypass MSHRs, ports and the hit/miss
-  counters, so skipped uops can neither leak in-flight miss state into
-  a measured window nor contaminate the measured miss rates (warm
-  totals are reported under ``extra["sampling"]["warm"]`` instead).
+  warming (a warm engine, below) additionally touches the L1 caches,
+  TLBs and branch predictor for every skipped uop.  Every sampled run
+  warms: the detailed model charges duplicate in-flight misses itself
+  (secondary accesses stall until fill completion), so pre-warmed L1
+  lines do not erase a stall the full model would have charged.  The
+  **L2 is deliberately not warmed**: its content under capacity
+  pressure depends on the exact L1+MSHR-filtered miss stream, which
+  program-order replay cannot reproduce -- warming it turns window L2
+  misses into hits wholesale and biases fast.  Warming uses the
+  hierarchy's stat-free ``warm_*`` paths, which bypass MSHRs, ports and
+  the hit/miss counters, so skipped uops can neither leak in-flight
+  miss state into a measured window nor contaminate the measured miss
+  rates (warm totals are reported under ``extra["sampling"]["warm"]``
+  instead).
 * measure windows should be long relative to the worst stall (>= ~500
   instructions): a window absorbs stall tails in flight at its start
   but is cut at its final commit, a ~stall/window-length asymmetry that
@@ -61,8 +59,9 @@ The engines are **bit-identical** by contract -- post-warm cache/TLB/
 predictor/BTB state and merged results match exactly (enforced by
 ``tests/test_fastwarm_equivalence.py`` and the CI ``trace-smoke`` job),
 which is why the engine choice is *not* part of the result cache key.
-Select per run with ``run_sampled(..., warm_engine=...)`` or
-``repro trace replay --warm-engine``.
+Select per run with ``run_sampled(..., warm_engine=...)`` or the
+``SimSpec.warm_engine`` field; ``repro run --sample-ratio`` uses the
+vector default.
 """
 
 from __future__ import annotations
@@ -154,21 +153,18 @@ class SampledStream:
     ``warm_batch`` method drains whole gaps as columnar batches (taken
     from the source's ``take_batch`` when it has one -- trace files and
     synthetic workloads -- else materialised from the iterator); an
-    engine with only ``warm`` sees skipped uops one at a time.  Without
-    an engine, skipped uops are consumed and dropped.
+    engine with only ``warm`` sees skipped uops one at a time.
     """
 
-    def __init__(self, source: Iterable[UOp], plan: SamplePlan, engine=None):
+    def __init__(self, source: Iterable[UOp], plan: SamplePlan, engine):
         self._it = iter(source)
         self._plan = plan
-        self._engine = engine
         self._warm_batch = getattr(engine, "warm_batch", None)
         if self._warm_batch is not None:
             self._take_batch = getattr(source, "take_batch", None)
-            self._warm = None
         else:
             self._take_batch = None
-            self._warm = engine.warm if engine is not None else None
+            self._warm = engine.warm
         self.consumed = 0
         self.yielded = 0
 
@@ -194,8 +190,7 @@ class SampledStream:
                 )
                 self.yielded += 1
                 return v
-            if self._warm is not None:
-                self._warm(u)
+            self._warm(u)
 
     def _skip_batch(self, want: int) -> int:
         """Drain up to ``want`` skipped uops through the batch engine."""
@@ -299,7 +294,7 @@ def _merge_counts(into: dict, add: dict) -> None:
 
 
 def _merge(windows: list[SimResult], plan: SamplePlan, stream: SampledStream,
-           simulated: int, engine=None) -> SimResult:
+           simulated: int, engine) -> SimResult:
     instructions = sum(r.instructions for r in windows)
     cycles = sum(r.cycles for r in windows)
 
@@ -333,12 +328,11 @@ def _merge(windows: list[SimResult], plan: SamplePlan, stream: SampledStream,
         "measured_instructions": instructions,
         "simulated_instructions": simulated,
         "source_uops_consumed": stream.consumed,
-    }
-    if engine is not None:
         # warm-traffic totals are kept out of the cache/TLB statistics
         # (detailed rates must reflect detailed accesses only) and are
         # identical across engines, so they are safe in the result
-        sampling["warm"] = engine.totals()
+        "warm": engine.totals(),
+    }
     return SimResult(
         instructions=instructions,
         cycles=cycles,
@@ -364,7 +358,6 @@ def run_sampled(
     trace: Iterable[UOp],
     plan: SamplePlan,
     max_measured: int | None = None,
-    functional_warming: bool = True,
     warm_engine: str = "vector",
 ) -> SimResult:
     """Drive ``pipe`` over the sampled windows of ``trace``.
@@ -373,9 +366,8 @@ def run_sampled(
     state kept hot) followed by a measured burst; window results are
     aggregated into one :class:`SimResult` whose ``extra["sampling"]``
     records the plan, window count, coverage and warm-traffic totals.
-    ``functional_warming`` (default on since the detailed model gained
-    MSHR miss-merging; see the module docstring) additionally feeds
-    skipped uops through the caches/TLB/predictor, under the
+    Every skipped uop is fed through the caches/TLB/predictor
+    (functional warming; see the module docstring) by the
     ``warm_engine`` of choice (``"vector"``/``"scalar"``; bit-identical
     by contract, see the module docstring).  The detailed windows run
     under the pipeline's own cycle-skip setting (``pipe.event_skip``,
@@ -384,8 +376,8 @@ def run_sampled(
     key).  Stops when the trace is exhausted or ``max_measured``
     instructions have been measured.
     """
-    engine = make_warm_engine(pipe, warm_engine) if functional_warming else None
-    stream = SampledStream(trace, plan, engine=engine)
+    engine = make_warm_engine(pipe, warm_engine)
+    stream = SampledStream(trace, plan, engine)
     pipe.attach_trace(stream)
     windows: list[SimResult] = []
     measured = 0
@@ -403,10 +395,7 @@ def run_sampled(
         # the stream); span() is a no-op unless observability is on, and
         # windows are thousands of instructions, so the disabled cost is
         # one enabled() check per window
-        with _spans.span(
-            "sample.window", index=len(windows),
-            engine=engine.name if engine is not None else "none",
-        ):
+        with _spans.span("sample.window", index=len(windows), engine=engine.name):
             r = pipe.run(want, warmup=plan.warmup)
         got = pipe.committed - before
         if r.instructions > 0:

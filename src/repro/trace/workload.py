@@ -1,20 +1,20 @@
 """Adapt recorded traces into the workload registry.
 
-A trace file is addressed either by an explicit registered name (session
--local convenience) or by its canonical *spec name* ``trace:<abspath>``,
-which is what :class:`~repro.experiments.runner.SimSpec` carries: it is
-picklable, resolvable in worker processes with no registration step, and
-paired with the trace's content digest in the cache key (see
-``SimSpec.key``), so recorded traces participate in the disk cache and
-process-pool fan-out exactly like synthetic workloads.
+A trace file is addressed by its canonical *spec name*
+``trace:<abspath>``, which is what
+:class:`~repro.experiments.runner.SimSpec` carries: it is picklable,
+resolvable in worker processes with no registration step, and paired
+with the trace's content digest in the cache key (see ``SimSpec.key``),
+so recorded traces participate in the disk cache and process-pool
+fan-out exactly like synthetic workloads.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.trace.format import TraceInfo, TraceWriter, read_info
-from repro.workloads.registry import TRACE_SCHEME, register_trace_workload
+from repro.trace.format import TraceInfo, TraceWriter
+from repro.workloads.registry import TRACE_SCHEME
 
 #: extra records beyond commit target so replay never starves the fetch
 #: stage: bounded by ROB (256) + fetch queue + flush replays, with margin
@@ -31,28 +31,6 @@ def recommended_uops(instructions: int, warmup: int = 0, slack: int = RECORD_SLA
     bit-identical to the live generator (the trace must outlive the
     fetch frontier, not just the commit target)."""
     return instructions + warmup + slack
-
-
-class TraceWorkload:
-    """A replayable trace registered as a first-class workload."""
-
-    def __init__(self, path: str, name: str | None = None):
-        self.path = os.path.abspath(path)
-        self.info: TraceInfo = read_info(self.path)
-        self.name = name or os.path.splitext(os.path.basename(path))[0]
-
-    @property
-    def spec_name(self) -> str:
-        """The ``trace:`` name to put in a :class:`SimSpec`."""
-        return spec_name(self.path)
-
-    def register(self) -> "TraceWorkload":
-        """Expose the trace under :func:`list_workloads`/:func:`make_trace`."""
-        register_trace_workload(self.name, self.path)
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TraceWorkload({self.name!r}, {self.path!r}, n={self.info.count})"
 
 
 def record_trace(

@@ -12,8 +12,9 @@ diverging program is additionally written as a replayable ``.uoptrace``
 file whose meta header carries the full reproduction context (seed,
 profile, grid, fault, diverging point and reason), so a divergence found
 in CI can be replayed in any later session -- even one whose fuzz
-generator has since changed -- via ``repro trace replay`` or by feeding
-the trace back through :func:`repro.verify.diff.check_program`.
+generator has since changed -- with ``repro run trace:<file> --warmup 0``
+or by feeding the trace back through
+:func:`repro.verify.diff.check_program`.
 
 This runner is also the template for parallelizing
 ``repro.experiments.runner`` later: simulation work items here are pure

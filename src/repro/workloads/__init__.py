@@ -25,10 +25,6 @@ from repro.workloads.registry import (
     has_workload,
     list_workloads,
     make_trace,
-    paper_order,
-    register_trace_workload,
-    trace_workloads,
-    unregister_trace_workload,
 )
 from repro.workloads.spec2000 import PAPER_ORDER, SPEC2000_PROFILES, SPEC_INT, SPEC_FP
 
@@ -46,10 +42,6 @@ __all__ = [
     "has_workload",
     "list_workloads",
     "make_trace",
-    "paper_order",
-    "register_trace_workload",
-    "trace_workloads",
-    "unregister_trace_workload",
     "PAPER_ORDER",
     "SPEC2000_PROFILES",
     "SPEC_INT",

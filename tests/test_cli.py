@@ -7,9 +7,12 @@ from repro.cli import EXPERIMENTS, main
 
 class TestCLI:
     def test_list(self, capsys):
-        assert main(["list"]) == 0
+        # `figure -h` is the listing of experiment IDs
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--help"])
+        assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "ammp" in out and "table1" in out
+        assert all(exp in out for exp in EXPERIMENTS)
 
     def test_run(self, capsys):
         rc = main(["run", "gzip", "--instructions", "800", "--warmup", "200"])
@@ -27,7 +30,10 @@ class TestCLI:
         assert "Cache access time" in capsys.readouterr().out
 
     def test_figure_unknown(self, capsys):
-        assert main(["figure", "nope"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_experiments_list_complete(self):
         assert len(EXPERIMENTS) == 12
@@ -49,20 +55,21 @@ class TestCLI:
         assert "ipc=" in capsys.readouterr().out
 
     def test_scenarios_list(self, capsys):
-        assert main(["scenarios", "list"]) == 0
+        assert main(["workloads"]) == 0
         out = capsys.readouterr().out
         assert "phase_ping_pong" in out and "smt_storm" in out
+
+    def test_workloads_tags_phases_and_interleave(self, capsys):
+        assert main(["workloads"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "scenario:phase_tour [3 phases]" in lines
+        assert "scenario:smt_mix [2-way interleave/64]" in lines
+        assert "scenario:aliasing_storm" in lines
 
     def test_scenarios_show(self, capsys):
         assert main(["scenarios", "show", "smt_mix"]) == 0
         out = capsys.readouterr().out
         assert '"interleave":64' in out and "bank_conflict" in out
-
-    def test_scenarios_run(self, capsys):
-        rc = main(["scenarios", "run", "tlb_thrash",
-                   "--instructions", "500", "--warmup", "100", "--no-cache"])
-        assert rc == 0
-        assert "ipc=" in capsys.readouterr().out
 
     def test_workloads_verbose_lists_scenarios(self, capsys):
         assert main(["workloads", "--verbose"]) == 0
@@ -123,6 +130,72 @@ class TestCLI:
         calls.clear()
         assert main(argv) == 0
         assert calls == []  # a new session, served entirely from the store
+
+
+class TestRunSampling:
+    """`run --sample-ratio` samples any workload; --check-full needs traces."""
+
+    @pytest.fixture
+    def trace(self, tmp_path):
+        from repro.trace.workload import record_trace
+
+        path = str(tmp_path / "gzip.uoptrace")
+        record_trace(path, "gzip", 12000)
+        return "trace:" + path
+
+    def test_sampled_synthetic_run(self, capsys):
+        assert main(["run", "swim", "--sample-ratio", "0.1",
+                     "--instructions", "2000", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "workload=swim" in out
+        assert "sampling: ratio=0.100 windows=2 " in out
+
+    def test_check_full_on_two_traces(self, tmp_path, capsys, monkeypatch):
+        from repro import cli
+        from repro.trace.workload import record_trace
+
+        names = []
+        for w in ("gzip", "swim"):
+            path = str(tmp_path / f"{w}.uoptrace")
+            record_trace(path, w, 12000)
+            names.append("trace:" + path)
+        sessions = []
+        real = cli._session
+        monkeypatch.setattr(cli, "_session",
+                            lambda args: sessions.append(real(args)) or sessions[-1])
+        assert main(["run", *names, "--no-cache", "--sample-ratio", "0.1",
+                     "--sample-period", "1000", "--check-full"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("full_ipc=") == 2
+        assert all(f"workload={n}" in out for n in names)
+        # two sampled and two full runs, none annotated in the memo
+        (session,) = sessions
+        memo = list(session._memo.values())
+        assert len(memo) == 4
+        for res in memo:
+            assert "ipc_error_vs_full" not in res.telemetry().get("sampling", {})
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["swim", "--sample-ratio", "0.1", "--check-full"],
+         "swim is not a trace: workload"),
+        (["scenario:tlb_thrash", "--sample-ratio", "0.1", "--check-full"],
+         "is not a trace: workload"),
+        (["swim", "--check-full"], "pass --sample-ratio too"),
+        (["swim", "--sample-ratio", "0.1", "--warmup", "500"], "drop it"),
+        (["swim", "--sample-ratio", "0.5"], "nothing to skip"),
+        (["swim", "--sample-ratio", "1.5"], "sampling ratio must be in (0, 1)"),
+    ], ids=["synthetic", "scenario", "no-ratio", "warmup", "nothing-to-skip",
+            "bad-ratio"])
+    def test_usage_errors_exit_2(self, capsys, argv, needle):
+        assert main(["run", *argv, "--no-cache"]) == 2
+        assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--profile"], ["--cycle-trace", "ct.ndjson"]],
+                             ids=["profile", "cycle-trace"])
+    def test_check_full_rejects_instrumentation(self, trace, capsys, flag):
+        assert main(["run", trace, "--sample-ratio", "0.1", "--check-full",
+                     *flag]) == 2
+        assert "--profile/--cycle-trace" in capsys.readouterr().err
 
 
 class TestVerifyCLI:

@@ -7,7 +7,7 @@ import pytest
 from repro.experiments import figure1, figure3, figure4, figure5, figure6, figure7
 from repro.experiments import figure8, figure9, figure10, figure11, figure12, table1
 from repro.experiments.report import FigureResult, format_table, geomean
-from repro.experiments.runner import clear_cache, run_pair
+from repro.experiments.runner import clear_cache, suite_pairs
 
 SMALL = dict(instructions=1500, warmup=500)
 FEW = ["ammp", "gzip", "swim"]
@@ -39,13 +39,13 @@ class TestReportHelpers:
 
 class TestRunnerCaching:
     def test_pair_is_memoised(self):
-        a = run_pair("gzip", **SMALL)
-        b = run_pair("gzip", **SMALL)
+        a = suite_pairs(["gzip"], **SMALL)["gzip"]
+        b = suite_pairs(["gzip"], **SMALL)["gzip"]
         assert a[0] is b[0] and a[1] is b[1]
 
     def test_distinct_scales_not_conflated(self):
-        a = run_pair("gzip", instructions=1500, warmup=500)
-        b = run_pair("gzip", instructions=1000, warmup=500)
+        a = suite_pairs(["gzip"], instructions=1500, warmup=500)["gzip"]
+        b = suite_pairs(["gzip"], instructions=1000, warmup=500)["gzip"]
         assert a[0] is not b[0]
 
 

@@ -46,7 +46,7 @@ class TestMemoryHierarchy:
         assert m.dtlb.entries == 128
         assert m.dports.ports == 4
         assert m.dmshr.entries == 8 and m.dmshr.targets == 4
-        assert not m.dmshr.blocking
+        assert not m.dmshr.instant_fill
 
     def test_l1_hit_latency(self):
         m = MemoryHierarchy()

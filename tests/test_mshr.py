@@ -66,9 +66,9 @@ class TestMSHRFile:
             f.allocate(0x80, 20)
 
     def test_blocking_flag(self):
-        assert MSHRFile(1, 1).blocking
-        assert not MSHRFile(2, 1).blocking
-        assert not MSHRFile(1, 2).blocking
+        assert MSHRFile(1, 1).instant_fill
+        assert not MSHRFile(2, 1).instant_fill
+        assert not MSHRFile(1, 2).instant_fill
         with pytest.raises(ValueError):
             MSHRFile(0, 1)
 

@@ -68,8 +68,8 @@ class TestSimResultTelemetry:
 
     def test_round_trip_keeps_aliases_coherent(self):
         # a loaded result is annotated like a fresh one: the CLI's
-        # `trace replay --check-full` detaches a copy, then
-        # attach_error writes through the legacy alias
+        # `run trace:<path> --sample-ratio R --check-full` detaches a
+        # copy, then attach_error writes through the legacy alias
         from repro.core.pipeline import SimResult
         from repro.trace.sampling import attach_error
 

@@ -1,9 +1,9 @@
-"""Sampling-accuracy regression: functional warming on by default.
+"""Sampling-accuracy regression: every sampled run warms functionally.
 
 With MSHR miss-merging in the detailed model, functional warming (L1s,
-TLBs, predictor -- deliberately not the L2) defaults on, and sampled IPC
-must stay within the ROADMAP's quoted bound (<5%) of the full-replay IPC
-on the stationary workloads.  The fast tier checks a representative
+TLBs, predictor -- deliberately not the L2) covers every skipped uop,
+and sampled IPC must stay within the ROADMAP's quoted bound (<5%) of the
+full-replay IPC on the stationary workloads.  The fast tier checks a representative
 stationary trio at test scale; the broad long-trace variant runs behind
 ``REPRO_FUZZ=1`` like the other slow campaigns.
 
@@ -42,21 +42,18 @@ def _error(tmp_path, workload: str, n_trace: int) -> float:
 
 class TestWarmingDefault:
     def test_run_sampled_warms_by_default(self, tmp_path):
+        # every skipped uop is warmed: the warm count is exactly the
+        # source uops consumed minus those the stream handed to fetch
         path = str(tmp_path / "swim.uoptrace")
         record_trace(path, "swim", 40000)
-        plan = SamplePlan(10000, 2000, 1000)
-        results = {}
-        for label, kwargs in (
-            ("default", {}),
-            ("on", {"functional_warming": True}),
-            ("off", {"functional_warming": False}),
-        ):
-            pipe = build_processor(build_lsq(MACHINE_SAMIE[1]), None)
-            results[label] = run_sampled(
-                pipe, make_trace(spec_name(path)), plan, **kwargs
-            )
-        assert results["default"] == results["on"]  # default is warming-on
-        assert results["default"] != results["off"]  # and warming matters
+        pipe = build_processor(build_lsq(MACHINE_SAMIE[1]), None)
+        res = run_sampled(pipe, make_trace(spec_name(path)),
+                          SamplePlan(10000, 2000, 1000))
+        stream = pipe._trace  # the SampledStream run_sampled attached
+        sampling = res.telemetry()["sampling"]
+        assert sampling["source_uops_consumed"] == stream.consumed
+        assert sampling["warm"]["uops"] == stream.consumed - stream.yielded
+        assert sampling["warm"]["uops"] >= 3 * (10000 - 3000)  # three gaps
 
     def test_warming_does_not_leak_inflight_state(self, tmp_path):
         # after a warmed gap, no MSHR entries may be outstanding beyond

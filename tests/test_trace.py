@@ -21,7 +21,7 @@ from repro.trace.format import (
     RECORD_BYTES,
     TraceCorruptError,
     TraceError,
-    TraceReader,
+    TraceStream,
     TraceWriter,
     read_info,
     trace_token,
@@ -35,7 +35,6 @@ from repro.trace.sampling import (
 )
 from repro.trace.spike import SpikeStats, ingest_spike_log, parse_spike_log
 from repro.trace.workload import (
-    TraceWorkload,
     fixture_path,
     record_trace,
     recommended_uops,
@@ -90,7 +89,7 @@ class TestTraceFormat:
         ]
         with TraceWriter(path, meta={"k": "v", "n": 1}, frame_uops=64) as w:
             w.extend(uops)
-        with TraceReader(path) as r:
+        with TraceStream(path) as r:
             back = list(r)
             assert r.complete
             assert r.meta == {"k": "v", "n": 1}
@@ -111,7 +110,7 @@ class TestTraceFormat:
         path = str(tmp_path / "empty.uoptrace")
         info = write_trace(path, [], meta={})
         assert info.count == 0 and info.complete
-        with TraceReader(path) as r:
+        with TraceStream(path) as r:
             assert list(r) == []
             assert r.complete
 
@@ -130,12 +129,12 @@ class TestTraceFormat:
         with open(path, "wb") as fh:
             fh.write(b"NOTATRACE" * 10)
         with pytest.raises(TraceError, match="magic"):
-            TraceReader(path)
+            TraceStream(path)
 
     def test_src_distance_clamped_to_16bit(self, tmp_path):
         path = str(tmp_path / "t.uoptrace")
         write_trace(path, [UOp(0, 0, OpClass.LOAD, src1=1 << 20, addr=8, size=8)])
-        (u,) = list(TraceReader(path))
+        (u,) = list(TraceStream(path))
         assert u.src1 == 0xFFFF
 
 
@@ -162,11 +161,11 @@ class TestCorruptionRecovery:
             fh.write(raw[:cut_at])
         if cut_at < 14:  # inside the fixed header: unreadable at open
             with pytest.raises(TraceCorruptError):
-                TraceReader(trunc)
+                TraceStream(trunc)
             return
         with pytest.raises(TraceCorruptError):
-            list(TraceReader(trunc, strict=True))
-        with TraceReader(trunc, strict=False) as r:
+            list(TraceStream(trunc, strict=True))
+        with TraceStream(trunc, strict=False) as r:
             got = list(r)
             assert not r.complete
         # recovery yields a clean prefix: whole frames, in order (a cut
@@ -188,8 +187,8 @@ class TestCorruptionRecovery:
         with open(bad, "wb") as fh:
             fh.write(bytes(raw))
         with pytest.raises(TraceCorruptError):
-            list(TraceReader(bad, strict=True))
-        with TraceReader(bad, strict=False) as r:
+            list(TraceStream(bad, strict=True))
+        with TraceStream(bad, strict=False) as r:
             got = list(r)
         assert len(got) % 32 == 0 and len(got) < len(uops)
 
@@ -341,19 +340,6 @@ class TestSpikeParser:
         assert res.instructions == 581
         assert res.ipc > 0.5
 
-    def test_fixture_registered_workload(self, tmp_path):
-        out = str(tmp_path / "vvadd.uoptrace")
-        ingest_spike_log(fixture_path(), out)
-        tw = TraceWorkload(out, name="vvadd-test").register()
-        try:
-            assert "vvadd-test" in registry.list_workloads()
-            spec = SimSpec.make("vvadd-test", MACHINE_SAMIE, 581, 0)
-            assert spec.workload == spec_name(out)  # canonicalised for workers
-            assert run_spec(spec).instructions == 581
-        finally:
-            registry.unregister_trace_workload("vvadd-test")
-
-
 class TestPtrchaseFixture:
     """The second Spike fixture: a self-updating pointer chase."""
 
@@ -496,7 +482,7 @@ class TestSampledReplay:
         record_trace(path, "gzip", 8000)
         pipe = build_processor(build_lsq(MACHINE_SAMIE[1]), None)
         res = run_sampled(pipe, registry.make_trace(spec_name(path)),
-                          SamplePlan(1000, 200, 100), functional_warming=True)
+                          SamplePlan(1000, 200, 100))
         assert res.instructions > 0
         assert res.telemetry()["sampling"]["windows"] > 1
 
@@ -613,30 +599,15 @@ class TestSampledReplay:
         d = SimSpec.make("gzip", MACHINE_SAMIE, 500, 100, seed=2)
         assert c.key != d.key
 
-    def test_trace_alias_and_path_share_one_key(self, tmp_path):
-        path = str(tmp_path / "t.uoptrace")
-        record_trace(path, "gzip", 3000)
-        TraceWorkload(path, name="keyshare-alias").register()
-        try:
-            spec = SimSpec.make("keyshare-alias", MACHINE_SAMIE, 400, 100)
-            # one file is one simulation identity, alias or path
-            by_path = SimSpec.make(spec_name(path), MACHINE_SAMIE, 400, 100)
-            assert by_path.key == spec.key
-        finally:
-            registry.unregister_trace_workload("keyshare-alias")
-
-    def test_sweep_keyed_by_caller_names(self, tmp_path):
+    def test_sweep_keyed_by_caller_names(self, tmp_path, monkeypatch):
         from repro.experiments.runner import sweep
 
-        path = str(tmp_path / "t.uoptrace")
-        record_trace(path, "gzip", 3000)
-        TraceWorkload(path, name="sweep-alias").register()
-        try:
-            out = sweep(["sweep-alias"], [MACHINE_SAMIE],
-                        instructions=400, warmup=100)
-            assert ("sweep-alias", "samie") in out
-        finally:
-            registry.unregister_trace_workload("sweep-alias")
+        record_trace(str(tmp_path / "t.uoptrace"), "gzip", 3000)
+        monkeypatch.chdir(tmp_path)
+        # the spec carries trace:<abspath>; the result keeps the caller's name
+        out = sweep(["trace:t.uoptrace"], [MACHINE_SAMIE],
+                    instructions=400, warmup=100)
+        assert ("trace:t.uoptrace", "samie") in out
 
     def test_sample_changes_cache_key(self, tmp_path):
         a = SimSpec.make("gzip", MACHINE_SAMIE, 1000, 0)
@@ -650,31 +621,14 @@ class TestRegistryOrders:
         assert names == sorted(names) and len(names) == 26
 
     def test_paper_order(self):
-        assert registry.list_workloads(order="paper") == registry.paper_order()
-        assert len(registry.paper_order()) == 26
+        from repro.workloads.spec2000 import PAPER_ORDER
+
+        assert registry.list_workloads(order="paper") == list(PAPER_ORDER)
+        assert len(registry.list_workloads(order="paper")) == 26
 
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError, match="order"):
             registry.list_workloads(order="chaos")
-
-    def test_registered_trace_listed_and_replayable(self, tmp_path):
-        path = str(tmp_path / "t.uoptrace")
-        write_trace(path, [UOp(0, 0x400, OpClass.INT_ALU)], meta={})
-        registry.register_trace_workload("tiny-trace", path)
-        try:
-            assert "tiny-trace" in registry.list_workloads()
-            assert registry.has_workload("tiny-trace")
-            (u,) = list(registry.make_trace("tiny-trace"))
-            assert u.pc == 0x400
-        finally:
-            registry.unregister_trace_workload("tiny-trace")
-        assert "tiny-trace" not in registry.list_workloads()
-
-    def test_synthetic_name_collision_rejected(self, tmp_path):
-        path = str(tmp_path / "t.uoptrace")
-        write_trace(path, [], meta={})
-        with pytest.raises(ValueError, match="synthetic"):
-            registry.register_trace_workload("gzip", path)
 
     def test_trace_scheme_resolves_without_registration(self, tmp_path):
         path = str(tmp_path / "t.uoptrace")
@@ -700,14 +654,14 @@ class TestTraceCLI:
         assert main(["trace", "info", out, "--scan"]) == 0
         text = capsys.readouterr().out
         assert "records" in text and "complete   True" in text
-        assert main(["trace", "replay", out, "--no-cache",
+        assert main(["run", spec_name(out), "--no-cache",
                      "--instructions", "600", "--warmup", "100"]) == 0
         assert "ipc=" in capsys.readouterr().out
 
     def test_replay_sampled_with_check(self, tmp_path, capsys):
         out = str(tmp_path / "t.uoptrace")
         assert main(["trace", "record", "gzip", "-o", out, "--uops", "12000"]) == 0
-        assert main(["trace", "replay", out, "--no-cache",
+        assert main(["run", spec_name(out), "--no-cache",
                      "--sample-ratio", "0.1", "--sample-period", "1000",
                      "--check-full"]) == 0
         text = capsys.readouterr().out
@@ -718,17 +672,17 @@ class TestTraceCLI:
         assert main(["trace", "ingest", fixture_path(), "-o", out]) == 0
         text = capsys.readouterr().out
         assert "decoded=581" in text
-        assert main(["trace", "replay", out, "--no-cache"]) == 0
+        assert main(["run", spec_name(out), "--warmup", "0", "--no-cache"]) == 0
 
     def test_check_full_without_sample_ratio_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "t.uoptrace")
         record_trace(out, "gzip", 2000)
-        assert main(["trace", "replay", out, "--no-cache", "--check-full"]) == 2
+        assert main(["run", spec_name(out), "--no-cache", "--check-full"]) == 2
 
     def test_replay_short_trace_sampled_fails_cleanly(self, tmp_path, capsys):
         out = str(tmp_path / "t.uoptrace")
         record_trace(out, "gzip", 800)
-        assert main(["trace", "replay", out, "--no-cache",
+        assert main(["run", spec_name(out), "--no-cache",
                      "--sample-ratio", "0.1"]) == 1
         assert "sampling window" in capsys.readouterr().err
 
@@ -739,31 +693,37 @@ class TestTraceCLI:
         raw[len(raw) // 2] ^= 0xFF  # corrupt a frame, footer stays valid
         with open(out, "wb") as fh:
             fh.write(bytes(raw))
-        assert main(["trace", "replay", out, "--no-cache",
-                     "--instructions", "4000"]) == 1
+        assert main(["run", spec_name(out), "--no-cache",
+                     "--instructions", "4000", "--warmup", "0"]) == 1
         assert capsys.readouterr().err.strip()
 
     def test_check_full_with_instructions_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "t.uoptrace")
         record_trace(out, "gzip", 12000)
-        assert main(["trace", "replay", out, "--no-cache", "--sample-ratio",
+        assert main(["run", spec_name(out), "--no-cache", "--sample-ratio",
                      "0.1", "--instructions", "1000", "--check-full"]) == 2
         assert "whole-trace" in capsys.readouterr().err
 
-    def test_check_full_does_not_pollute_runner_memo(self, tmp_path):
-        from repro.experiments.runner import _cache
+    def test_check_full_does_not_pollute_runner_memo(self, tmp_path, monkeypatch):
+        from repro import cli
 
         out = str(tmp_path / "t.uoptrace")
         record_trace(out, "gzip", 12000)
-        assert main(["trace", "replay", out, "--sample-ratio", "0.1",
+        # the memo to inspect is the one session the command runs on
+        sessions = []
+        real = cli._session
+        monkeypatch.setattr(cli, "_session",
+                            lambda args: sessions.append(real(args)) or sessions[-1])
+        assert main(["run", spec_name(out), "--sample-ratio", "0.1",
                      "--sample-period", "1000", "--check-full"]) == 0
-        for res in _cache.values():
+        (session,) = sessions
+        assert len(session._memo) == 2  # the sampled and the full run
+        for res in session._memo.values():
             assert "ipc_error_vs_full" not in (res.extra or {}).get("sampling", {})
 
     def test_missing_paths_fail_cleanly(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.uoptrace")
         assert main(["trace", "info", missing]) == 1
-        assert main(["trace", "replay", missing]) == 1
         assert main(["trace", "ingest", missing, "-o", str(tmp_path / "o")]) == 1
         assert main(["run", "trace:" + missing, "--no-cache"]) == 1
         assert "Traceback" not in capsys.readouterr().err
@@ -773,7 +733,7 @@ class TestTraceCLI:
         with open(junk, "wb") as fh:
             fh.write(b"definitely not a uoptrace container")
         assert main(["trace", "info", junk]) == 1
-        assert main(["trace", "replay", junk]) == 1
+        assert main(["run", spec_name(junk)]) == 1
         err = capsys.readouterr().err
         assert "magic" in err and "Traceback" not in err
 
@@ -788,14 +748,14 @@ class TestTraceCLI:
     def test_bad_sample_ratio_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "t.uoptrace")
         record_trace(out, "gzip", 2000)
-        assert main(["trace", "replay", out, "--no-cache",
+        assert main(["run", spec_name(out), "--no-cache",
                      "--sample-ratio", "1.5"]) == 2
         assert "ratio" in capsys.readouterr().err
 
     def test_warmup_with_sampling_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "t.uoptrace")
         record_trace(out, "gzip", 2000)
-        assert main(["trace", "replay", out, "--no-cache", "--sample-ratio",
+        assert main(["run", spec_name(out), "--no-cache", "--sample-ratio",
                      "0.1", "--warmup", "500"]) == 2
         assert "warmup" in capsys.readouterr().err.lower()
 

@@ -280,12 +280,12 @@ class TestDivergenceArtifacts:
         assert len(files) == rep.divergences_total
 
     def test_artifact_round_trips_to_same_divergence(self, tmp_path):
-        from repro.trace.format import TraceReader
+        from repro.trace.format import TraceStream
         from repro.verify.fuzz import ProgramSpec
 
         rep = self._campaign_with_artifacts(tmp_path)
         d = rep.divergences[0]
-        with TraceReader(d["artifact"]) as r:
+        with TraceStream(d["artifact"]) as r:
             program = list(r)
             meta = r.meta
         # the trace is the generator's program, byte for byte
