@@ -14,43 +14,43 @@ class BTB:
     until the branch executes).
     """
 
-    __slots__ = ("_sets", "_assoc", "_num_sets", "_set_mask", "_shift", "hits", "misses")
+    __slots__ = (
+        "_sets", "_assoc", "_num_sets", "_set_mask", "_shift", "_tag_shift",
+        "hits", "misses",
+    )
 
     def __init__(self, entries: int = 2048, assoc: int = 4, pc_shift: int = 2):
         if entries % assoc:
             raise ValueError("entries must be a multiple of assoc")
         self._num_sets = entries // assoc
-        ilog2(self._num_sets)
+        set_bits = ilog2(self._num_sets)
         self._assoc = assoc
         self._set_mask = self._num_sets - 1
         self._shift = pc_shift
+        #: the tag is the PC above the offset and set-index bits
+        self._tag_shift = pc_shift + set_bits
         # Each set is an LRU-ordered list of (tag, target); index 0 = MRU.
         self._sets: list[list[tuple[int, int]]] = [[] for _ in range(self._num_sets)]
         self.hits = Counter("btb_hits")
         self.misses = Counter("btb_misses")
 
-    def _locate(self, pc: int) -> tuple[int, int]:
-        idx = (pc >> self._shift) & self._set_mask
-        tag = pc >> self._shift >> ilog2(self._num_sets) if self._num_sets > 1 else pc >> self._shift
-        return idx, tag
-
     def lookup(self, pc: int) -> int | None:
         """Return the predicted target for ``pc`` or None on a miss."""
-        idx, tag = self._locate(pc)
-        ways = self._sets[idx]
+        ways = self._sets[(pc >> self._shift) & self._set_mask]
+        tag = pc >> self._tag_shift
         for i, (t, target) in enumerate(ways):
             if t == tag:
                 if i:
                     ways.insert(0, ways.pop(i))
-                self.hits.add()
+                self.hits.value += 1  # counters bumped in place (hot path)
                 return target
-        self.misses.add()
+        self.misses.value += 1
         return None
 
     def update(self, pc: int, target: int) -> None:
         """Install/refresh the target of a taken branch."""
-        idx, tag = self._locate(pc)
-        ways = self._sets[idx]
+        ways = self._sets[(pc >> self._shift) & self._set_mask]
+        tag = pc >> self._tag_shift
         for i, (t, _) in enumerate(ways):
             if t == tag:
                 ways.pop(i)

@@ -5,6 +5,12 @@ selector.  The selector is a table of 2-bit counters indexed by PC; values
 >= 2 choose gshare, < 2 choose bimodal.  Selector training follows the
 classic Alpha 21264 rule: train only when the components disagree, toward
 the component that was right.
+
+:meth:`HybridPredictor.predict` and :meth:`HybridPredictor.update` read
+and train the component tables directly -- one call per branch instead
+of one per component operation -- with exactly the arithmetic of the
+components' own ``predict``/``update`` (all three tables are indexed
+with the same ``pc_shift``).
 """
 
 from __future__ import annotations
@@ -44,15 +50,15 @@ class HybridPredictor:
         self.lookups = Counter("branch_lookups")
         self.mispredicts = Counter("branch_mispredicts")
 
-    def _sel_index(self, pc: int) -> int:
-        return (pc >> self._shift) & self._sel_mask
-
     def predict(self, pc: int) -> bool:
         """Predict direction for the branch at ``pc``."""
         self.lookups.value += 1  # inlined Counter.add (hot path)
-        if self._selector[(pc >> self._shift) & self._sel_mask] >= 2:
-            return self.gshare.predict(pc)
-        return self.bimodal.predict(pc)
+        i = pc >> self._shift
+        if self._selector[i & self._sel_mask] >= 2:
+            g = self.gshare
+            return g._table[(i ^ g._history) & g._index_mask] >= 2
+        b = self.bimodal
+        return b._table[i & b._index_mask] >= 2
 
     def update(self, pc: int, taken: bool, predicted: bool | None = None) -> None:
         """Resolve the branch: train selector and both components.
@@ -60,18 +66,37 @@ class HybridPredictor:
         ``predicted`` (when provided) is used only for misprediction
         statistics; components are always trained with the true outcome.
         """
-        g = self.gshare.predict(pc)
-        b = self.bimodal.predict(pc)
-        if g != b:
-            i = self._sel_index(pc)
-            c = self._selector[i]
-            if g == taken:
+        g = self.gshare
+        b = self.bimodal
+        i = pc >> self._shift
+        gtab = g._table
+        btab = b._table
+        gi = (i ^ g._history) & g._index_mask
+        bi = i & b._index_mask
+        gc = gtab[gi]
+        bc = btab[bi]
+        g_taken = gc >= 2
+        if g_taken != (bc >= 2):
+            si = i & self._sel_mask
+            c = self._selector[si]
+            if g_taken == taken:
                 if c < 3:
-                    self._selector[i] = c + 1
+                    self._selector[si] = c + 1
             elif c > 0:
-                self._selector[i] = c - 1
-        self.bimodal.update(pc, taken)
-        self.gshare.update(pc, taken)  # also advances global history
+                self._selector[si] = c - 1
+        # both components: saturating 2-bit counters toward the outcome
+        if taken:
+            if bc < 3:
+                btab[bi] = bc + 1
+            if gc < 3:
+                gtab[gi] = gc + 1
+        else:
+            if bc > 0:
+                btab[bi] = bc - 1
+            if gc > 0:
+                gtab[gi] = gc - 1
+        # gshare shifts the outcome into its global history
+        g._history = ((g._history << 1) | int(taken)) & g._hist_mask
         if predicted is not None and predicted != taken:
             self.mispredicts.add()
 

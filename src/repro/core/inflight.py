@@ -7,9 +7,9 @@ fetch and commit, all in ``__slots__``.  Fetch builds it once -- one
 ``map`` over the columns of a source's record batch
 (:meth:`InFlight.from_records`), or from a ``UOp`` for plain iterators
 (:meth:`InFlight.from_uop`) -- and dispatch moves that same object into
-the window.  A flush squashes it; the refetch replays a fresh copy
-(``from_uop`` of the squashed instance), so no dynamic state survives
-a squash.
+the window.  A flush squashes it and queues a fresh copy (``from_uop``
+of the squashed instance) for refetch, so no dynamic state survives a
+squash.
 
 It deliberately uses plain attributes rather than a state machine
 object: the pipeline is the single writer and the fields are its
@@ -62,6 +62,11 @@ class InFlight:
             :meth:`repro.mem.hierarchy.MemoryHierarchy.daccess_blocked`).
         stall_epoch: the hierarchy stall epoch the watermark belongs to;
             a stats reset bumps the epoch, voiding stale watermarks.
+        waiters: dispatched consumers waiting for this instruction's
+            result, in dispatch order (None until the first one).
+        data_waiters: dispatched stores whose data operand this
+            instruction produces, in dispatch order (None until the
+            first one).
     """
 
     __slots__ = (
@@ -80,6 +85,8 @@ class InFlight:
         "load_value",
         "stall_charged_until",
         "stall_epoch",
+        "waiters",
+        "data_waiters",
     )
 
     def __init__(
@@ -119,6 +126,8 @@ class InFlight:
         self.load_value: Any = None
         self.stall_charged_until = 0
         self.stall_epoch = 0
+        self.waiters: list[InFlight] | None = None
+        self.data_waiters: list[InFlight] | None = None
 
     @classmethod
     def from_uop(cls, uop: "UOp | InFlight") -> "InFlight":

@@ -26,6 +26,14 @@ On a branch misprediction fetch stalls until the branch resolves
 deadlock-avoidance mechanism, §3.3) squashes every in-flight instruction
 and refetches starting at the ROB head, replaying fresh copies of the
 squashed instructions.
+
+The ROB is the one record of what is in flight: it always holds
+consecutive seqs (dispatch appends in order, commit pops the head, a
+flush empties it), so the producer ``d`` instructions before a
+dispatching one is ``rob.buf[-1 - d]`` while ``d < len(rob.buf)``.
+Consumers wait on their producer (``InFlight.waiters``), and an event
+is its bare instruction: a memory op whose address is not yet known is
+completing its AGU step, anything else its execution or data return.
 """
 
 from __future__ import annotations
@@ -63,6 +71,8 @@ _FETCH_BATCH = 256
 _E_DCACHE_WAY = CACHE_ENERGY["dcache_way_known_access"]
 _E_DCACHE_FULL = CACHE_ENERGY["dcache_full_access"]
 _E_DTLB = CACHE_ENERGY["dtlb_access"]
+
+_FORWARD = RouteKind.FORWARD
 
 
 @dataclass
@@ -173,15 +183,16 @@ class Pipeline:
         "_pool_list", "_sample_occ", "_issue_info",
         "_area_acc", "_occ_list", "_ab_buf", "_skip_area",
         "_held_bd", "_held_occ", "_held_ab", "_held_since",
-        "_lsq_begin_cycle", "_lsq_area_breakdown",
+        "_lsq_begin_cycle", "_lsq_area_breakdown", "_lsq_record_location",
+        "_lsq_addr_gate", "_lsq_overflows",
         "_commit_width", "_decode_width", "_fetch_width", "_watchdog",
         "_track_data", "_iw_int", "_iw_fp",
         "cycle", "committed", "deadlock_flushes", "overflow_flushes",
-        "_last_commit_cycle", "_events", "_inflight", "_waiters",
-        "_data_waiters", "_pending_loads", "_pending_min", "_unresolved_stores",
+        "_last_commit_cycle", "_events",
+        "_pending_loads", "_pending_min", "_unresolved_stores",
         "_int_regs_used", "_fp_regs_used",
         "_trace", "_take_batch", "_batch", "_batch_pos", "_records",
-        "_replay", "_fetch_seq", "_trace_exhausted",
+        "_refetch", "_trace_exhausted",
         "_fetch_stall_seq", "_fetch_block_until", "_last_iline",
         "_flush_requested",
         "_ref_mem", "_expected", "_committed_mem", "data_violations",
@@ -246,13 +257,28 @@ class Pipeline:
             op: (self.pools[fu_pool_for(op)], EXEC_LATENCY[op], PIPELINED[op])
             for op in EXEC_LATENCY
         }
-        # per-cycle bound methods and config scalars, resolved once;
-        # a model using the base no-op begin_cycle skips the call entirely
+        # per-cycle bound methods and config scalars, resolved once; a
+        # model using a base no-op hook (begin_cycle, record_location,
+        # the can_accept_address/address_issued pair) skips the call
+        model = type(lsq)
         self._lsq_begin_cycle = (
             lsq.begin_cycle
-            if type(lsq).begin_cycle is not BaseLSQ.begin_cycle
+            if model.begin_cycle is not BaseLSQ.begin_cycle
             else None
         )
+        self._lsq_record_location = (
+            lsq.record_location
+            if model.record_location is not BaseLSQ.record_location
+            else None
+        )
+        self._lsq_addr_gate = (
+            (lsq.can_accept_address, lsq.address_issued)
+            if model.can_accept_address is not BaseLSQ.can_accept_address
+            or model.address_issued is not BaseLSQ.address_issued
+            else None
+        )
+        #: the model raises ``need_flush`` on AddrBuffer overflow (SAMIE)
+        self._lsq_overflows = hasattr(lsq, "need_flush")
         self._lsq_area_breakdown = lsq.area_breakdown
         self._commit_width = cfg.commit_width
         self._decode_width = cfg.decode_width
@@ -267,10 +293,9 @@ class Pipeline:
         self.deadlock_flushes = 0
         self.overflow_flushes = 0
         self._last_commit_cycle = 0
-        self._events: dict[int, list[tuple[str, InFlight]]] = {}
-        self._inflight: dict[int, InFlight] = {}
-        self._waiters: dict[int, list[InFlight]] = {}
-        self._data_waiters: dict[int, list[InFlight]] = {}
+        #: cycle -> instructions whose event (AGU result, execution or
+        #: data return) is due then; an instruction has at most one
+        self._events: dict[int, list[InFlight]] = {}
         self._pending_loads: list[InFlight] = []
         #: lower bound on the seqs in _pending_loads: while the oldest
         #: unresolved store is older, every pending load is blocked
@@ -284,12 +309,11 @@ class Pipeline:
         #: InFlights built from the source's last batch, and the next one
         self._batch: list[InFlight] = []
         self._batch_pos = 0
-        #: records taken from the source (the seq of the next new one);
-        #: kept apart from _fetch_seq, which a flush rewinds
+        #: new records fetched so far (the seq of the next new one)
         self._records = 0
-        #: seq -> fetched, uncommitted instruction (refetched after a flush)
-        self._replay: dict[int, InFlight] = {}
-        self._fetch_seq = 0
+        #: fresh copies of squashed instructions, in seq order; fetch
+        #: drains them before taking new records
+        self._refetch: deque[InFlight] = deque()
         self._trace_exhausted = False
         self._fetch_stall_seq: int | None = None  # mispredicted branch seq
         self._fetch_block_until = 0  # I-cache miss stall
@@ -334,15 +358,23 @@ class Pipeline:
         """Connect the dynamic instruction source.
 
         A source with a ``take_batch`` method (synthetic streams, trace
-        files) is read ``_FETCH_BATCH`` records at a time, so fetch runs
-        up to one batch ahead of the instructions it has fetched; any
+        files, sampled streams over either) is read up to
+        ``_FETCH_BATCH`` records at a time, so fetch runs up to one
+        batch ahead of the instructions it has fetched (a sampled stream
+        never hands out more than the rest of its current window); any
         other iterator is pulled one ``UOp`` per fetched instruction and
-        is never read ahead (a sampled stream must not be).
+        is never read ahead.
         """
         self._trace = trace
         self._take_batch = getattr(trace, "take_batch", None)
         self._batch = []
         self._batch_pos = 0
+
+    @property
+    def read_ahead(self) -> int:
+        """Records taken from the source but not yet fetched (the rest
+        of fetch's current batch)."""
+        return len(self._batch) - self._batch_pos
 
     def set_cycle_tracer(self, tracer) -> None:
         """Attach (or with ``None`` detach) an observation-only cycle hook.
@@ -353,29 +385,6 @@ class Pipeline:
         runs bit-identical to untraced ones.
         """
         self._ctrace = tracer
-
-    def _next_ins(self) -> InFlight | None:
-        """The instruction at ``_fetch_seq``, or None at the trace end."""
-        seq = self._fetch_seq
-        if seq < self._records:
-            # refetch after a flush: a fresh copy, so no dynamic state
-            # of the squashed instance survives
-            ins = self._replay[seq] = InFlight.from_uop(self._replay[seq])
-        else:
-            pos = self._batch_pos
-            if pos < len(self._batch):  # common case: built and waiting
-                ins = self._batch[pos]
-                self._batch_pos = pos + 1
-            else:
-                ins = self._pull()
-                if ins is None:
-                    return None
-            self._records = seq + 1
-            self._replay[seq] = ins
-            if self._track_data:
-                self._oracle_record(ins)
-        self._fetch_seq = seq + 1
-        return ins
 
     def _pull(self) -> InFlight | None:
         """The next new instruction from the source once the current
@@ -412,39 +421,29 @@ class Pipeline:
             )
 
     # ------------------------------------------------------------------
-    # events
-    # ------------------------------------------------------------------
-    def _schedule(self, cycle: int, kind: str, ins: InFlight) -> None:
-        events = self._events
-        bucket = events.get(cycle)
-        if bucket is None:
-            events[cycle] = bucket = []
-        bucket.append((kind, ins))
-
-    # ------------------------------------------------------------------
     # stage 2: complete (dependent wake-up is inlined in the event loop)
     # ------------------------------------------------------------------
     def _complete(self) -> None:
         events = self._events.pop(self.cycle, None)
         if events is None:
             return
-        inflight = self._inflight
-        waiters = self._waiters
-        data_waiters = self._data_waiters
         int_iq = self.int_iq
         fp_iq = self.fp_iq
         lsq = self.lsq
-        for kind, ins in events:
-            if ins.seq not in inflight:
-                continue  # squashed by a flush after scheduling
-            if kind == "agu":
+        overflows = self._lsq_overflows
+        for ins in events:
+            if ins.is_mem and not ins.addr_ready:
+                # AGU result: the effective address is known
                 ins.addr_ready = True
                 lsq.address_ready(ins)
-                if getattr(lsq, "need_flush", False):
+                if overflows and lsq.need_flush:
                     # AddrBuffer overflow signal from the SAMIE model
                     self._flush_requested = True
                 if ins.is_store:
-                    self._advance_store_frontier()
+                    # advance the oldest-unresolved-store frontier
+                    q = self._unresolved_stores
+                    while q and q[0].disamb_resolved:
+                        q.popleft()
                     if ins.store_data_ready:
                         ins.done = True
                 else:
@@ -452,35 +451,32 @@ class Pipeline:
                     if ins.seq < self._pending_min:
                         self._pending_min = ins.seq
                 continue
-            if kind != "exec" and kind != "mem":  # pragma: no cover
-                raise RuntimeError(f"unknown event {kind}")
+            # execution done, or a load's data returned
             ins.done = True
             # wake dependents: a consumer whose last operand arrived
             # joins its queue's age-ordered ready heap
-            for w in waiters.pop(ins.seq, ()):  # register dependents
-                w.deps_left -= 1
-                if w.deps_left == 0 and not w.issued:
-                    iq = fp_iq if w.is_fp else int_iq
-                    heappush(iq._ready, (w.seq, w))
-            for w in data_waiters.pop(ins.seq, ()):  # store data operands
-                w.store_data_ready = True
-                lsq.store_data_arrived(w)
-                if w.addr_ready and not w.done:
-                    w.done = True
-            if kind == "exec" and ins.is_branch:
+            waiters = ins.waiters
+            if waiters is not None:  # register dependents
+                for w in waiters:
+                    w.deps_left -= 1
+                    if w.deps_left == 0 and not w.issued:
+                        heappush((fp_iq if w.is_fp else int_iq)._ready, (w.seq, w))
+            waiters = ins.data_waiters
+            if waiters is not None:  # store data operands
+                for w in waiters:
+                    w.store_data_ready = True
+                    lsq.store_data_arrived(w)
+                    if w.addr_ready and not w.done:
+                        w.done = True
+            if ins.is_branch:
                 self._resolve_branch(ins)
 
     def _resolve_branch(self, ins: InFlight) -> None:
-        self.predictor.update(ins.pc, ins.taken, predicted=None)
+        self.predictor.update(ins.pc, ins.taken)
         if ins.taken:
             self.btb.update(ins.pc, ins.target)
         if self._fetch_stall_seq == ins.seq:
             self._fetch_stall_seq = None
-
-    def _advance_store_frontier(self) -> None:
-        q = self._unresolved_stores
-        while q and (q[0].disamb_resolved or q[0].seq not in self._inflight):
-            q.popleft()
 
     # ------------------------------------------------------------------
     # stage 3: commit
@@ -496,8 +492,7 @@ class Pipeline:
             return  # common stalled case: head simply not finished yet
         lsq = self.lsq
         mem = self.mem
-        inflight = self._inflight
-        replay = self._replay
+        dports = mem.dports
         track = self._track_data
         for _ in range(self._commit_width):
             if not buf:
@@ -518,20 +513,19 @@ class Pipeline:
                         return  # cannot write the cache before disambiguation
                     if mem.daccess_blocked(head.addr, head):
                         return  # MSHR exhausted: retry writeback next cycle
-                    if not mem.dports.try_acquire():
+                    if dports._used >= dports.ports:
                         return  # no write port this cycle
+                    dports._used += 1
                     self._store_writeback(head)
                 lsq.commit(head)
-            # retire: leave the ROB and the in-flight map, free the register
+            # retire: leave the ROB, free the register
             buf.popleft()
-            seq = head.seq
-            del inflight[seq]
-            replay.pop(seq, None)
             if head.is_fp:
                 self._fp_regs_used -= 1
             elif head.needs_int_reg:
                 self._int_regs_used -= 1
             if track and head.is_load:
+                seq = head.seq
                 self.committed_load_values[seq] = head.load_value
                 expected = self._expected.pop(seq, None)
                 if expected is not None and head.load_value != expected:
@@ -540,23 +534,25 @@ class Pipeline:
             self._last_commit_cycle = self.cycle
 
     def _store_writeback(self, ins: InFlight) -> None:
+        """The committing store's cache write (its port is granted)."""
         route = self.lsq.route_store_commit(ins)
-        out = self.mem.daccess(
-            ins.addr, write=True, skip_tlb=route.skip_tlb, way_known=route.way_known
-        )
-        self._charge_access(route.way_known, route.skip_tlb)
-        self.lsq.record_location(ins, out.l1.set_index, out.l1.way)
-        self.mem.l1d.set_present_bit(out.l1.set_index, out.l1.way, True)
-        if self._track_data:
-            for b in range(ins.byte0, ins.byte1):
-                self._committed_mem[b] = ins.seq
-
-    def _charge_access(self, way_known: bool, skip_tlb: bool) -> None:
+        way_known = route.way_known
+        skip_tlb = route.skip_tlb
+        mem = self.mem
+        l1 = mem.daccess(ins.addr, True, skip_tlb, way_known).l1
         # inlined EnergyAccount.charge: table constants are non-negative
         pj = self.cache_energy._pj
         pj["dcache"] += _E_DCACHE_WAY if way_known else _E_DCACHE_FULL
         if not skip_tlb:
             pj["dtlb"] += _E_DTLB
+        record = self._lsq_record_location
+        if record is not None:
+            record(ins, l1.set_index, l1.way)
+        # presentBit of the line just written (its set is built)
+        mem.l1d._sets[l1.set_index][l1.way].present_bit = True
+        if self._track_data:
+            for b in range(ins.byte0, ins.byte1):
+                self._committed_mem[b] = ins.seq
 
     def _release_reg(self, ins: InFlight) -> None:
         if ins.is_fp:
@@ -573,21 +569,23 @@ class Pipeline:
             return
         # the oldest store with an unknown address bounds which loads issue
         q = self._unresolved_stores
-        inflight = self._inflight
-        while q and (q[0].disamb_resolved or q[0].seq not in inflight):
+        while q and q[0].disamb_resolved:
             q.popleft()
         frontier = q[0].seq if q else _NO_SEQ
         if frontier < self._pending_min:
             return  # every pending load waits on an older unresolved store
         lsq = self.lsq
         mem = self.mem
+        dports = mem.dports
+        events = self._events
+        cycle = self.cycle
         track = self._track_data
         # `still` is materialized lazily: on the (common) quiescent cycle
         # where every pending load stays pending, the list is reused
         # as-is instead of being rebuilt element by element
         still: list[InFlight] | None = None
         for i, ld in enumerate(pending):
-            if ld.seq not in inflight or ld.mem_started:
+            if ld.mem_started:
                 if still is None:
                     still = pending[:i]
                 continue
@@ -596,37 +594,52 @@ class Pipeline:
                     still.append(ld)
                 continue
             route = lsq.route_load(ld)
-            if route.kind is RouteKind.FORWARD:
+            if route.kind is _FORWARD:
                 if still is None:
                     still = pending[:i]
                 ld.mem_started = True
                 if track:
                     ld.load_value = tuple(route.store.seq for _ in range(ld.size))
-                self._schedule(self.cycle + 1, "mem", ld)
+                when = cycle + 1
             else:
                 if mem.daccess_blocked(ld.addr, ld):
                     if still is not None:
                         still.append(ld)  # structural stall: MSHRs exhausted
                     continue
-                if not mem.dports.try_acquire():
+                if dports._used >= dports.ports:
                     if still is not None:
-                        still.append(ld)
+                        still.append(ld)  # no read port this cycle
                     continue
+                dports._used += 1
                 if still is None:
                     still = pending[:i]
                 ld.mem_started = True
-                out = mem.daccess(
-                    ld.addr, write=False, skip_tlb=route.skip_tlb, way_known=route.way_known
-                )
-                self._charge_access(route.way_known, route.skip_tlb)
-                lsq.record_location(ld, out.l1.set_index, out.l1.way)
-                mem.l1d.set_present_bit(out.l1.set_index, out.l1.way, True)
+                way_known = route.way_known
+                skip_tlb = route.skip_tlb
+                out = mem.daccess(ld.addr, False, skip_tlb, way_known)
+                # inlined EnergyAccount.charge: constants are non-negative
+                pj = self.cache_energy._pj
+                pj["dcache"] += _E_DCACHE_WAY if way_known else _E_DCACHE_FULL
+                if not skip_tlb:
+                    pj["dtlb"] += _E_DTLB
+                l1 = out.l1
+                record = self._lsq_record_location
+                if record is not None:
+                    record(ld, l1.set_index, l1.way)
+                # presentBit of the line just read (its set is built)
+                mem.l1d._sets[l1.set_index][l1.way].present_bit = True
                 if track:
                     ld.load_value = tuple(
                         self._committed_mem.get(b, 0)
                         for b in range(ld.byte0, ld.byte1)
                     )
-                self._schedule(self.cycle + max(1, out.latency), "mem", ld)
+                lat = out.latency
+                when = cycle + lat if lat > 1 else cycle + 1
+            bucket = events.get(when)
+            if bucket is None:
+                events[when] = [ld]
+            else:
+                bucket.append(ld)
         if still is not None:
             self._pending_loads = still
             self._pending_min = min([ld.seq for ld in still], default=_NO_SEQ)
@@ -635,15 +648,14 @@ class Pipeline:
     # stage 5: issue
     # ------------------------------------------------------------------
     def _issue(self) -> None:
-        self._issue_from(self.int_iq, self._iw_int)
-        self._issue_from(self.fp_iq, self._iw_fp)
+        if self.int_iq._ready:
+            self._issue_from(self.int_iq, self._iw_int)
+        if self.fp_iq._ready:
+            self._issue_from(self.fp_iq, self._iw_fp)
 
     def _issue_from(self, iq: IssueQueue, width: int) -> None:
         ready = iq._ready
-        if not ready:
-            return
-        inflight = self._inflight
-        lsq = self.lsq
+        gate = self._lsq_addr_gate
         cycle = self.cycle
         issue_info = self._issue_info
         events = self._events
@@ -653,9 +665,8 @@ class Pipeline:
             # the oldest ready instruction leaves the queue
             ins = heappop(ready)[1]
             iq.size -= 1
-            if ins.seq not in inflight:
-                continue  # squashed
-            if ins.is_mem and not lsq.can_accept_address():
+            is_mem = ins.is_mem
+            if is_mem and gate is not None and not gate[0]():
                 deferred.append(ins)  # §3.3: no guaranteed AddrBuffer slot
                 continue
             pool, lat, pipelined = issue_info[ins.op]
@@ -668,17 +679,15 @@ class Pipeline:
                 pool._busy_until.append(cycle + lat)
             ins.issued = True
             issued += 1
-            if ins.is_mem:
-                lsq.address_issued()
-                kind = "agu"
-            else:
-                kind = "exec"
-            # inlined _schedule
+            if is_mem and gate is not None:
+                gate[1]()  # reserve the landing spot
+            # the AGU result (memory ops) or the execution is due
             when = cycle + lat
             bucket = events.get(when)
             if bucket is None:
-                events[when] = bucket = []
-            bucket.append((kind, ins))
+                events[when] = [ins]
+            else:
+                bucket.append(ins)
         for ins in deferred:
             # not issued this cycle: back into the ready heap
             heappush(ready, (ins.seq, ins))
@@ -692,16 +701,16 @@ class Pipeline:
         rob = self.rob
         rob_buf = rob.buf
         rob_cap = rob.capacity
-        if not fq or len(rob_buf) >= rob_cap:
+        n = len(rob_buf)  # kept in step with the appends below
+        if not fq or n >= rob_cap:
             return  # cheap exit before binding the per-uop locals
-        inflight = self._inflight
-        waiters = self._waiters
         lsq = self.lsq
         int_iq = self.int_iq
         fp_iq = self.fp_iq
-        cfg = self.cfg
+        fp_regs = self.cfg.fp_regs
+        int_regs = self.cfg.int_regs
         for _ in range(self._decode_width):
-            if not fq or len(rob_buf) >= rob_cap:
+            if not fq or n >= rob_cap:
                 return
             ins = fq[0]
             iq = fp_iq if ins.is_fp else int_iq
@@ -709,11 +718,11 @@ class Pipeline:
                 return
             # claim a rename register; stall when none is free
             if ins.is_fp:
-                if self._fp_regs_used >= cfg.fp_regs:
+                if self._fp_regs_used >= fp_regs:
                     return
                 self._fp_regs_used += 1
             elif ins.needs_int_reg:
-                if self._int_regs_used >= cfg.int_regs:
+                if self._int_regs_used >= int_regs:
                     return
                 self._int_regs_used += 1
             # a refused dispatch leaves ins untouched (BaseLSQ.dispatch
@@ -722,49 +731,49 @@ class Pipeline:
                 self._release_reg(ins)
                 return
             fq.popleft()
-            seq = ins.seq
-            inflight[seq] = ins
             rob_buf.append(ins)  # capacity checked above
-            # register dependences: a producer still in flight and not yet
-            # done gates issue (stores and branches write no register);
-            # a store's data operand (src2) gates only its data, not AGU
+            n += 1
+            # register dependences: the producer d back is in flight
+            # while d < len(rob), at rob[-1 - d]; one not yet done gates
+            # issue (stores and branches write no register); a store's
+            # data operand (src2) gates only its data, not AGU
             deps = 0
             data_ready = True
-            if ins.src1:
-                pseq = seq - ins.src1
-                prod = inflight.get(pseq)
-                if prod is not None and not prod.done and not (
-                    prod.is_store or prod.is_branch
-                ):
+            d = ins.src1
+            if d and d < n:
+                prod = rob_buf[-1 - d]
+                if not prod.done and not (prod.is_store or prod.is_branch):
                     deps = 1
-                    bucket = waiters.get(pseq)
-                    if bucket is None:
-                        waiters[pseq] = [ins]
+                    waiters = prod.waiters
+                    if waiters is None:
+                        prod.waiters = [ins]
                     else:
-                        bucket.append(ins)
-            if ins.src2:
-                pseq = seq - ins.src2
-                prod = inflight.get(pseq)
-                if prod is not None and not prod.done and not (
-                    prod.is_store or prod.is_branch
-                ):
+                        waiters.append(ins)
+            d = ins.src2
+            if d and d < n:
+                prod = rob_buf[-1 - d]
+                if not prod.done and not (prod.is_store or prod.is_branch):
                     if ins.is_store:
                         data_ready = False
-                        self._data_waiters.setdefault(pseq, []).append(ins)
+                        waiters = prod.data_waiters
+                        if waiters is None:
+                            prod.data_waiters = [ins]
+                        else:
+                            waiters.append(ins)
                     else:
                         deps += 1
-                        bucket = waiters.get(pseq)
-                        if bucket is None:
-                            waiters[pseq] = [ins]
+                        waiters = prod.waiters
+                        if waiters is None:
+                            prod.waiters = [ins]
                         else:
-                            bucket.append(ins)
+                            waiters.append(ins)
             # enter the issue queue (capacity checked above): ready now,
             # or when the last producer wakes it
             iq.size += 1
             if deps:
                 ins.deps_left = deps
             else:
-                heappush(iq._ready, (seq, ins))
+                heappush(iq._ready, (ins.seq, ins))
             if ins.is_store:
                 ins.store_data_ready = data_ready
                 ins.disamb_resolved = False
@@ -777,14 +786,30 @@ class Pipeline:
         if self._fetch_stall_seq is not None or self.cycle < self._fetch_block_until:
             return
         fq = self.fetch_queue
-        cap = self._fetch_cap
+        # each slot appends one instruction: the queue's room bounds them
+        slots = self._fetch_cap - len(fq)
+        if slots > self._fetch_width:
+            slots = self._fetch_width
+        refetch = self._refetch
         line_shift = self.mem.l1i.line_shift
-        for _ in range(self._fetch_width):
-            if len(fq) >= cap:
-                return
-            ins = self._next_ins()
-            if ins is None:
-                return
+        for _ in range(slots):
+            # the next instruction: a refetch copy while any is queued,
+            # else the next new record (usually built and waiting)
+            if refetch:
+                ins = refetch.popleft()
+            else:
+                pos = self._batch_pos
+                try:
+                    ins = self._batch[pos]
+                except IndexError:  # batch used up: take the next one
+                    ins = self._pull()
+                    if ins is None:
+                        return
+                else:
+                    self._batch_pos = pos + 1
+                self._records += 1
+                if self._track_data:
+                    self._oracle_record(ins)
             iline = ins.pc >> line_shift
             if iline != self._last_iline:
                 self._last_iline = iline
@@ -811,7 +836,7 @@ class Pipeline:
             ins.taken and (target is None or target != ins.target)
         )
         if mispredict:
-            self.predictor.mispredicts.add()
+            self.predictor.mispredicts.value += 1  # inlined Counter.add
             self._fetch_stall_seq = ins.seq
             self._last_iline = -1
         return mispredict
@@ -820,17 +845,22 @@ class Pipeline:
     # flush (deadlock avoidance, §3.3)
     # ------------------------------------------------------------------
     def _flush(self, reason: str) -> None:
-        head = self.rob.head()
-        restart_seq = head.seq if head is not None else self._fetch_seq
+        rob_buf = self.rob.buf
+        # refetch queue, in seq order: fresh copies of the ROB, then of
+        # the fetch queue, then the copies not yet refetched (they are
+        # still fresh); together they are every fetched, uncommitted
+        # instruction, so no dynamic state survives the squash
+        refetch = deque(map(InFlight.from_uop, rob_buf))
+        refetch.extend(map(InFlight.from_uop, self.fetch_queue))
+        refetch.extend(self._refetch)
+        self._refetch = refetch
         if self._ctrace is not None:
             self._ctrace.event(
-                self.cycle, "flush", reason=reason, restart_seq=restart_seq,
-                squashed=len(self._inflight),
+                self.cycle, "flush", reason=reason,
+                restart_seq=refetch[0].seq if refetch else self._records,
+                squashed=len(rob_buf),
             )
         self.rob.clear()
-        self._inflight.clear()
-        self._waiters.clear()
-        self._data_waiters.clear()
         self._pending_loads.clear()
         self._pending_min = _NO_SEQ
         self._unresolved_stores.clear()
@@ -842,7 +872,6 @@ class Pipeline:
         self.fetch_queue.clear()
         self.lsq.flush()
         self._fetch_stall_seq = None
-        self._fetch_seq = restart_seq
         self._last_iline = -1
         self._int_regs_used = 0
         self._fp_regs_used = 0
@@ -876,20 +905,22 @@ class Pipeline:
         dports = mem.dports
         if dports._used:
             dports._used = 0
+        # (MSHRFile.retire is called only once its earliest fill is due)
         dmshr = mem.dmshr
         if not dmshr.instant_fill:
-            if dmshr._inflight:
+            if dmshr._inflight and mem_cycle >= dmshr._min_ready:
                 dmshr.retire(mem_cycle)
             imshr = mem.imshr
-            if imshr._inflight:
+            if imshr._inflight and mem_cycle >= imshr._min_ready:
                 imshr.retire(mem_cycle)
         for pool in self._pool_list:
-            # FU pools: reset issue bandwidth and release finished
-            # non-pipelined units only when present
+            # FU pools: reset issue bandwidth, and release finished
+            # non-pipelined units once one of them is done
             if pool._issued_this_cycle:
                 pool._issued_this_cycle = 0
-            if pool._busy_until:
-                pool._busy_until = [c for c in pool._busy_until if c > cycle]
+            busy = pool._busy_until
+            if busy and min(busy) <= cycle:
+                pool._busy_until = [c for c in busy if c > cycle]
         begin = self._lsq_begin_cycle
         if begin is not None:
             begin(cycle)
@@ -897,15 +928,13 @@ class Pipeline:
             self._complete()
         if self._flush_requested:
             self._flush(reason="overflow")
-        elif (
-            self._inflight
-            and cycle - self._last_commit_cycle > self._watchdog
-        ):
-            # deadlock-avoidance backstop (paper §3.3): the window cannot
-            # drain; squash and refetch from the head
-            self._flush(reason="deadlock")
         elif self.rob.buf:
-            self._commit()
+            if cycle - self._last_commit_cycle > self._watchdog:
+                # deadlock-avoidance backstop (paper §3.3): the window
+                # cannot drain; squash and refetch from the head
+                self._flush(reason="deadlock")
+            else:
+                self._commit()
         if self._pending_loads:
             self._memory_issue()
         if self.int_iq._ready or self.fp_iq._ready:
@@ -1040,7 +1069,7 @@ class Pipeline:
         if self.event_skip and self._ctrace is None and self.mem.interval_stall_stats:
             skip = self._skip_quiescent
             while self.committed < target_committed and self.cycle < cycle_limit:
-                if self._trace_exhausted and not self._inflight and not self.fetch_queue:
+                if self._trace_exhausted and not self.rob.buf and not self.fetch_queue:
                     break
                 step()
                 # re-check the commit target before skipping: once the
@@ -1051,7 +1080,7 @@ class Pipeline:
                 skip(cycle_limit)
             return
         while self.committed < target_committed and self.cycle < cycle_limit:
-            if self._trace_exhausted and not self._inflight and not self.fetch_queue:
+            if self._trace_exhausted and not self.rob.buf and not self.fetch_queue:
                 break
             step()
 
@@ -1093,7 +1122,7 @@ class Pipeline:
                     return
             elif fbu < wake:
                 wake = fbu
-        if self._trace_exhausted and not self._inflight and not self.fetch_queue:
+        if self._trace_exhausted and not self.rob.buf and not self.fetch_queue:
             return  # fully drained: the run loop's break condition fires
         lsq = self.lsq
         if not lsq.quiescent():
@@ -1127,7 +1156,7 @@ class Pipeline:
                 return  # head would commit (or contend for a write port)
             # otherwise the head resumes via an event or a fill retire;
             # the deadlock watchdog still fires on schedule
-        if self._inflight:
+        if buf:
             wd = self._last_commit_cycle + self._watchdog + 1
             if wd < wake:
                 wake = wd
@@ -1139,9 +1168,8 @@ class Pipeline:
             q = self._unresolved_stores
             frontier = q[0].seq if q else _NO_SEQ
             if frontier >= self._pending_min:
-                inflight = self._inflight
                 for ld in self._pending_loads:
-                    if ld.seq not in inflight or ld.mem_started or ld.seq > frontier:
+                    if ld.mem_started or ld.seq > frontier:
                         continue  # inert, or unblocks via a store's events
                     if lsq.load_ready(ld):
                         return

@@ -5,7 +5,9 @@ disambiguation) and a ``whereLSQ`` field (location of the instruction in
 the LSQ).  In this model those live on :class:`~repro.core.inflight.
 InFlight` (``disamb_resolved`` plays the readyBit role for stores and
 ``placement`` is whereLSQ); the ROB provides ordering, capacity and the
-head used for in-order commit and deadlock detection.
+head used for in-order commit and deadlock detection.  It is also the
+pipeline's only record of what is in flight: it holds consecutive seqs,
+so the pipeline finds a producer by its position (DESIGN.md §3.2).
 """
 
 from __future__ import annotations

@@ -110,6 +110,7 @@ class ARBLSQ(BaseLSQ):
         return True
 
     def address_ready(self, ins: InFlight) -> None:
+        self._fwd_load = None
         if not self._try_place(ins):
             ins.in_addr_buffer = True
             # sorted insert (seqs are unique, so the pair never compares
@@ -119,6 +120,7 @@ class ARBLSQ(BaseLSQ):
     def begin_cycle(self, cycle: int) -> None:
         if not self._pending:
             return
+        self._fwd_load = None
         still: list[tuple[int, InFlight]] = []
         for pair in self._pending:
             if not self._try_place(pair[1]):
@@ -142,6 +144,8 @@ class ARBLSQ(BaseLSQ):
         if ins.placement is None or ins.mem_started:
             return False
         src = self._forward_source(ins)
+        self._fwd_load = ins  # route_load reuses the search
+        self._fwd_src = src
         if src is None:
             return True
         if src.contains(ins):
@@ -149,7 +153,8 @@ class ARBLSQ(BaseLSQ):
         return False  # partial overlap: wait for commit
 
     def route_load(self, ins: InFlight) -> LoadRoute:
-        src = self._forward_source(ins)
+        src = self._fwd_src if self._fwd_load is ins else self._forward_source(ins)
+        self._fwd_load = None
         if src is not None and src.contains(ins) and src.store_data_ready:
             self.stats.loads_forwarded += 1
             return LoadRoute(RouteKind.FORWARD, store=src)
@@ -163,6 +168,7 @@ class ARBLSQ(BaseLSQ):
 
     # -- release -------------------------------------------------------------
     def commit(self, ins: InFlight) -> None:
+        self._fwd_load = None
         row: _Row | None = ins.placement
         if row is not None:
             row.slots.remove(ins)
@@ -171,6 +177,7 @@ class ARBLSQ(BaseLSQ):
         self._inflight -= 1
 
     def flush(self) -> None:
+        self._fwd_load = None
         for bank in self._banks:
             bank.clear()
         self._pending.clear()
@@ -180,6 +187,7 @@ class ARBLSQ(BaseLSQ):
     def head_blocked(self, ins: InFlight) -> bool:
         if ins.placement is not None or not ins.addr_ready:
             return False
+        self._fwd_load = None
         if self._try_place(ins):  # priority placement for the oldest instruction
             # sorted (seq, ins) pairs with unique seqs: bisect finds it
             pending = self._pending

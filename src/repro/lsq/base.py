@@ -121,13 +121,20 @@ class BaseLSQ(ABC):
     layouts (the models are on the simulator's per-cycle hot path).
     """
 
-    __slots__ = ("energy", "stats")
+    __slots__ = ("energy", "stats", "_fwd_load", "_fwd_src")
 
     name = "base"
 
     def __init__(self):
         self.energy = EnergyAccount()
         self.stats = LSQStats()
+        #: the load whose forwarding source ``load_ready`` found last,
+        #: and that source: ``route_load`` of the same load reuses it
+        #: instead of searching again.  Every hook that can change a
+        #: forwarding source (address_ready, begin_cycle, head_blocked,
+        #: commit, flush) clears it.
+        self._fwd_load: InFlight | None = None
+        self._fwd_src: InFlight | None = None
 
     # -- lifecycle ---------------------------------------------------------
     @abstractmethod

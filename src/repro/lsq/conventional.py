@@ -51,6 +51,16 @@ _WORD_SHIFT = 3
 #: extra entries" (§4.2)
 ACTIVE_EXTRA = 4
 
+#: Table 4 constants, charged by direct accumulator adds at the
+#: per-access sites (they are non-negative, as ``EnergyAccount.charge``
+#: requires); ``2 * datum_rw`` is the same float whether folded here or
+#: per forward
+_E_ADDR_RW = E["addr_rw"]
+_E_CMP_BASE = E["addr_compare_base"]
+_E_CMP_PER_ADDR = E["addr_compare_per_addr"]
+_E_DATUM_RW = E["datum_rw"]
+_E_FORWARD = 2 * E["datum_rw"]
+
 
 class ConventionalLSQ(BaseLSQ):
     """Fully-associative LSQ with store-to-load forwarding."""
@@ -111,23 +121,34 @@ class ConventionalLSQ(BaseLSQ):
         return len(ready_loads) - bisect_right(ready_loads, ins.seq)
 
     def address_ready(self, ins: InFlight) -> None:
+        self._fwd_load = None
+        pj = self.energy._pj
         # Address write into the CAM.
-        self.energy.charge("lsq", E["addr_rw"])
+        pj["lsq"] += _E_ADDR_RW
         compared = self._count_comparisons(ins)
         if ins.is_load:
             insort(self._ready_load_seqs, ins.seq)
         else:
             insort(self._ready_store_seqs, ins.seq)
-            for w in self._words_of(ins):
-                self._store_words.setdefault(w, []).append(ins)
+            w = ins.byte0 >> _WORD_SHIFT
+            if w == (ins.byte1 - 1) >> _WORD_SHIFT:  # one word: no range
+                peers = self._store_words.get(w)
+                if peers is None:
+                    self._store_words[w] = [ins]
+                else:
+                    peers.append(ins)
+            else:
+                for w in self._words_of(ins):
+                    self._store_words.setdefault(w, []).append(ins)
             ins.disamb_resolved = True
-        self.energy.charge("lsq", E["addr_compare_base"] + E["addr_compare_per_addr"] * compared)
-        self.stats.addr_comparisons += compared
-        self.stats.placed += 1
+        pj["lsq"] += _E_CMP_BASE + _E_CMP_PER_ADDR * compared
+        stats = self.stats
+        stats.addr_comparisons += compared
+        stats.placed += 1
 
     def store_data_arrived(self, ins: InFlight) -> None:
         """Charge the datum write when a store's value becomes available."""
-        self.energy.charge("lsq", E["datum_rw"])
+        self.energy._pj["lsq"] += _E_DATUM_RW
 
     # -- load scheduling -----------------------------------------------------
     def _forward_source(self, ins: InFlight) -> InFlight | None:
@@ -140,20 +161,28 @@ class ConventionalLSQ(BaseLSQ):
         seq = ins.seq
         b0 = ins.byte0
         b1 = ins.byte1
+        w = b0 >> _WORD_SHIFT
+        if w == (b1 - 1) >> _WORD_SHIFT:  # one word: no range
+            cands = self._store_words.get(w)
+            if cands is None:
+                return None
+        else:
+            words = self._store_words
+            cands = [st for w in self._words_of(ins) for st in words.get(w, ())]
         best: InFlight | None = None
         best_seq = -1
-        words = self._words_of(ins)
-        for w in words:
-            for st in self._store_words.get(w, ()):
-                if best_seq < st.seq < seq and st.byte0 < b1 and b0 < st.byte1:
-                    best = st
-                    best_seq = st.seq
+        for st in cands:
+            if best_seq < st.seq < seq and st.byte0 < b1 and b0 < st.byte1:
+                best = st
+                best_seq = st.seq
         return best
 
     def load_ready(self, ins: InFlight) -> bool:
         if not ins.addr_ready or ins.mem_started:
             return False
         src = self._forward_source(ins)
+        self._fwd_load = ins  # route_load reuses the search
+        self._fwd_src = src
         if src is None:
             return True
         if src.contains(ins):
@@ -162,19 +191,21 @@ class ConventionalLSQ(BaseLSQ):
         return False
 
     def route_load(self, ins: InFlight) -> LoadRoute:
-        src = self._forward_source(ins)
+        src = self._fwd_src if self._fwd_load is ins else self._forward_source(ins)
+        self._fwd_load = None
         if src is not None and src.contains(ins) and src.store_data_ready:
             # read the store's datum, write the load's result
-            self.energy.charge("lsq", 2 * E["datum_rw"])
+            self.energy._pj["lsq"] += _E_FORWARD
             self.stats.loads_forwarded += 1
             return LoadRoute(RouteKind.FORWARD, store=src)
-        self.energy.charge("lsq", E["datum_rw"])  # load result write
-        self.stats.loads_from_cache += 1
-        self.stats.full_cache_accesses += 1
+        self.energy._pj["lsq"] += _E_DATUM_RW  # load result write
+        stats = self.stats
+        stats.loads_from_cache += 1
+        stats.full_cache_accesses += 1
         return CACHE_LOAD_ROUTES[False][False]
 
     def route_store_commit(self, ins: InFlight) -> StoreRoute:
-        self.energy.charge("lsq", E["datum_rw"])  # read datum for the write
+        self.energy._pj["lsq"] += _E_DATUM_RW  # read datum for the write
         self.stats.full_cache_accesses += 1
         return CACHE_STORE_ROUTES[False][False]
 
@@ -185,6 +216,7 @@ class ConventionalLSQ(BaseLSQ):
             del seqs[i]
 
     def commit(self, ins: InFlight) -> None:
+        self._fwd_load = None
         if self._ents and self._ents[0] is ins:
             self._ents.popleft()
         else:  # pragma: no cover - commit is in order by construction
@@ -197,16 +229,18 @@ class ConventionalLSQ(BaseLSQ):
         if ins.addr_ready:
             if ins.is_store:
                 self._drop_ready_seq(self._ready_store_seqs, ins.seq)
+                words = self._store_words
                 for w in self._words_of(ins):
-                    peers = self._store_words[w]
+                    peers = words[w]
                     peers.remove(ins)
                     if not peers:
-                        del self._store_words[w]
+                        del words[w]
             else:
                 self._drop_ready_seq(self._ready_load_seqs, ins.seq)
         self._area_cache = None
 
     def flush(self) -> None:
+        self._fwd_load = None
         self._ents.clear()
         self._stores.clear()
         self._loads.clear()

@@ -28,7 +28,6 @@ Energy follows Table 5 exactly; see the module docstring of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from repro.common.queues import BoundedFIFO
 from repro.core.inflight import InFlight
@@ -86,7 +85,8 @@ class SamieLSQ(BaseLSQ):
     """The paper's SAMIE-LSQ."""
 
     __slots__ = (
-        "cfg", "_banks", "_shared", "_bank_lines", "_shared_lines",
+        "cfg", "_line_shift", "_nbanks",
+        "_banks", "_shared", "_bank_lines", "_shared_lines",
         "_addr_buffer", "need_flush", "_retry_ok", "_agu_reserved",
         "_full_banks",
         "_distrib_entries", "_distrib_slot_terms", "_shared_slot_terms",
@@ -101,6 +101,9 @@ class SamieLSQ(BaseLSQ):
     def __init__(self, cfg: SamieConfig | None = None):
         super().__init__()
         self.cfg = cfg or SamieConfig()
+        # geometry read per access, latched out of the (dict-backed) cfg
+        self._line_shift = self.cfg.line_shift
+        self._nbanks = self.cfg.banks
         self._banks: list[list[SamieEntry]] = [[] for _ in range(self.cfg.banks)]
         self._shared: list[SamieEntry] = []
         # O(1) line -> entries indexes maintained alongside the lists
@@ -181,9 +184,12 @@ class SamieLSQ(BaseLSQ):
         self.stats.addr_comparisons += len(bank) + len(shared)
 
     def _try_place(self, ins: InFlight, charge: bool = True) -> bool:
-        """Attempt DistribLSQ/SharedLSQ placement; True on success."""
-        line = ins.addr >> self.cfg.line_shift
-        bank_idx = line % self.cfg.banks
+        """Attempt DistribLSQ/SharedLSQ placement; True on success.
+
+        Table 5 constants are charged by direct accumulator adds (they
+        are non-negative, as ``EnergyAccount.charge`` requires)."""
+        line = ins.addr >> self._line_shift
+        bank_idx = line % self._nbanks
         bank = self._banks[bank_idx]
         if charge:
             self._charge_placement_attempt(bank)
@@ -204,7 +210,7 @@ class SamieLSQ(BaseLSQ):
             lines.setdefault(line, []).append(target)
             if len(bank) == cfg.entries_per_bank:
                 self._full_banks += 1
-            self.energy.charge("distrib", E_D["addr_rw"])
+            self.energy._pj["distrib"] += E_D["addr_rw"]
         # 3. join a SharedLSQ entry holding the same line
         if target is None:
             for entry in self._shared_lines.get(line, ()):
@@ -218,7 +224,7 @@ class SamieLSQ(BaseLSQ):
             target = SamieEntry(line, shared=True)
             self._shared.append(target)
             self._shared_lines.setdefault(line, []).append(target)
-            self.energy.charge("shared", E_S["addr_rw"])
+            self.energy._pj["shared"] += E_S["addr_rw"]
         if target is None:
             self.stats.placement_failures += 1
             return False
@@ -226,17 +232,16 @@ class SamieLSQ(BaseLSQ):
         self._slot_joined(target)
         ins.placement = target
         ins.in_addr_buffer = False
-        self.energy.charge(
-            "shared" if target.shared else "distrib",
-            (E_S if target.shared else E_D)["age_rw"],
-        )
+        pj = self.energy._pj
+        if target.shared:
+            cat, tab = "shared", E_S
+        else:
+            cat, tab = "distrib", E_D
+        pj[cat] += tab["age_rw"]
         if ins.is_store:
             ins.disamb_resolved = True
             if ins.store_data_ready:
-                self.energy.charge(
-                    "shared" if target.shared else "distrib",
-                    (E_S if target.shared else E_D)["datum_rw"],
-                )
+                pj[cat] += tab["datum_rw"]
         self.stats.placed += 1
         return True
 
@@ -286,11 +291,12 @@ class SamieLSQ(BaseLSQ):
         self._agu_reserved += 1
 
     def address_ready(self, ins: InFlight) -> None:
+        self._fwd_load = None
         if self._agu_reserved:
             self._agu_reserved -= 1
         if self._try_place(ins):
             return
-        self.energy.charge("addrbuffer", E_AB["datum_rw"] + E_AB["age_rw"])
+        self.energy._pj["addrbuffer"] += E_AB["datum_rw"] + E_AB["age_rw"]
         self._area_cache = None
         if self._addr_buffer.try_push(ins):
             ins.in_addr_buffer = True
@@ -308,12 +314,13 @@ class SamieLSQ(BaseLSQ):
         # nothing -- the modelled hardware wakes the AddrBuffer on commit.
         if not self._retry_ok:
             return
+        self._fwd_load = None
         buf = self._addr_buffer._buf  # deque: drained head-first
         while buf:
             if not self._try_place(buf[0]):
                 self._retry_ok = False
                 break
-            self.energy.charge("addrbuffer", E_AB["datum_rw"] + E_AB["age_rw"])
+            self.energy._pj["addrbuffer"] += E_AB["datum_rw"] + E_AB["age_rw"]
             buf.popleft()
             self._area_cache = None
 
@@ -328,16 +335,19 @@ class SamieLSQ(BaseLSQ):
         """Youngest older overlapping store to ``ins``'s line, via the
         line index (selection by max age is order-independent, so this
         matches the old linear ``youngest_older_overlapping`` scan)."""
-        line = ins.addr >> self.cfg.line_shift
+        line = ins.addr >> self._line_shift
+        entries = self._bank_lines[line % self._nbanks].get(line)
+        shared = self._shared_lines.get(line)
+        if shared is not None:
+            entries = entries + shared if entries is not None else shared
+        elif entries is None:
+            return None
         seq = ins.seq
         b0 = ins.byte0
         b1 = ins.byte1
         best: InFlight | None = None
         best_seq = -1
-        for entry in chain(
-            self._bank_lines[line % self.cfg.banks].get(line, ()),
-            self._shared_lines.get(line, ()),
-        ):
+        for entry in entries:
             for st in entry.slots:
                 if (
                     best_seq < st.seq < seq
@@ -354,6 +364,8 @@ class SamieLSQ(BaseLSQ):
         if ins.placement is None or ins.mem_started:
             return False
         src = self._forward_source(ins)
+        self._fwd_load = ins  # route_load reuses the search
+        self._fwd_src = src
         if src is None:
             return True
         if src.contains(ins):
@@ -365,7 +377,8 @@ class SamieLSQ(BaseLSQ):
         tab = E_S if entry.shared else E_D
         cat = "shared" if entry.shared else "distrib"
         pj = self.energy._pj
-        src = self._forward_source(ins)
+        src = self._fwd_src if self._fwd_load is ins else self._forward_source(ins)
+        self._fwd_load = None
         if src is not None and src.contains(ins) and src.store_data_ready:
             pj[cat] += 2 * tab["datum_rw"]  # read store, write load
             self.stats.loads_forwarded += 1
@@ -401,8 +414,10 @@ class SamieLSQ(BaseLSQ):
         """Charge the datum write when a placed store's value arrives."""
         entry: SamieEntry | None = ins.placement
         if entry is not None:
-            tab = E_S if entry.shared else E_D
-            self.energy.charge("shared" if entry.shared else "distrib", tab["datum_rw"])
+            if entry.shared:
+                self.energy._pj["shared"] += E_S["datum_rw"]
+            else:
+                self.energy._pj["distrib"] += E_D["datum_rw"]
 
     # -- SAMIE extensions ------------------------------------------------------
     def record_location(self, ins: InFlight, set_idx: int, way: int) -> None:
@@ -441,6 +456,7 @@ class SamieLSQ(BaseLSQ):
 
     # -- release -------------------------------------------------------------
     def commit(self, ins: InFlight) -> None:
+        self._fwd_load = None
         entry: SamieEntry | None = ins.placement
         if entry is None:  # pragma: no cover - commit requires placement
             raise RuntimeError("committing an unplaced memory instruction")
@@ -464,6 +480,7 @@ class SamieLSQ(BaseLSQ):
         self._retry_ok = True  # capacity freed: wake the AddrBuffer
 
     def flush(self) -> None:
+        self._fwd_load = None
         for bank in self._banks:
             bank.clear()
         for lines in self._bank_lines:
@@ -484,6 +501,7 @@ class SamieLSQ(BaseLSQ):
     def head_blocked(self, ins: InFlight) -> bool:
         if ins.placement is not None or not ins.addr_ready:
             return False
+        self._fwd_load = None
         # Priority attempt for the oldest in-flight instruction; if even
         # that fails, only a flush can restore forward progress (§3.3).
         was_buffered = ins.in_addr_buffer

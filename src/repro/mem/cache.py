@@ -34,13 +34,15 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class AccessResult:
     """Outcome of one cache access.
 
     A hit returns the shared per-(set, way) instance built with its set
     (:meth:`Cache._build_set`); a miss builds a fresh one.  No code
-    mutates a result, and none may.
+    mutates a result, and none may.  Results compare (and hash) by
+    identity, so a shared hit result can key a cache of outcomes built
+    on it (:meth:`repro.mem.hierarchy.MemoryHierarchy.daccess`).
     """
 
     hit: bool

@@ -79,7 +79,12 @@ class MemConfig:
 
 @dataclass(slots=True)
 class DAccessOutcome:
-    """Timing and placement outcome of one data-side access."""
+    """Timing and placement outcome of one data-side access.
+
+    An L1 hit of the tracked-fill model returns a shared instance, one
+    per (hit result, TLB hit, latency); no code mutates an outcome, and
+    none may.
+    """
 
     latency: int
     l1: AccessResult | None
@@ -120,6 +125,9 @@ class MemoryHierarchy:
         #: accounting, kept for the interval-vs-polled differential tier
         #: in tests/test_mshr.py; the two are cycle-for-cycle equal.
         self.interval_stall_stats = True
+        #: (shared L1 hit result, TLB hit, latency) -> the shared outcome
+        #: of such a hit (see :meth:`daccess`)
+        self._hit_outcomes: dict[tuple, DAccessOutcome] = {}
         #: bumped by :meth:`reset_mshr_stats`; invalidates every token's
         #: ``stall_charged_until`` watermark so an episode straddling a
         #: stats reset (warmup boundary, measured-window start) re-charges
@@ -189,19 +197,21 @@ class MemoryHierarchy:
         mshr = self.dmshr
         if mshr.instant_fill:
             return False
+        # the MSHR dict is read directly (lookup / can_merge /
+        # can_allocate inlined), and L1 is probed only when the file is
+        # full: with a free entry a primary miss can always start
+        inflight = mshr._inflight
         line = addr >> self.l1d.line_shift
-        entry = mshr.lookup(line)
+        entry = inflight.get(line)
         if entry is not None:
-            if not mshr.can_merge(entry):
+            if entry.targets_used >= mshr.targets:
                 self._charge_stall(mshr, token, entry.ready_cycle, True, probe)
                 return True
             return False
-        if self.l1d.probe(line) is not None:
+        if len(inflight) < mshr.entries or self.l1d.probe(line) is not None:
             return False
-        if not mshr.can_allocate():
-            self._charge_stall(mshr, token, mshr._min_ready, False, probe)
-            return True
-        return False
+        self._charge_stall(mshr, token, mshr._min_ready, False, probe)
+        return True
 
     def _charge_stall(self, mshr: MSHRFile, token, until: int,
                       target: bool, probe: bool = False) -> None:
@@ -270,14 +280,17 @@ class MemoryHierarchy:
             return DAccessOutcome(latency, l1res, l1res.hit, l2_hit, tlb_hit)
 
         # tracked fills: resolve the MSHR question before touching state,
-        # so a blocked access leaves caches/TLB stats untouched
-        entry = self.dmshr.lookup(line)
-        if entry is not None and not self.dmshr.can_merge(entry):
-            self.dmshr.stats.target_stall_cycles += 1
-            return _BLOCKED
-        primary_miss = entry is None and self.l1d.probe(line) is None
-        if primary_miss and not self.dmshr.can_allocate():
-            self.dmshr.stats.entry_stall_cycles += 1
+        # so a blocked access leaves caches/TLB stats untouched (the MSHR
+        # dict is read directly; L1 is probed only when the file is full)
+        mshr = self.dmshr
+        inflight = mshr._inflight
+        entry = inflight.get(line)
+        if entry is not None:
+            if entry.targets_used >= mshr.targets:
+                mshr.stats.target_stall_cycles += 1
+                return _BLOCKED
+        elif len(inflight) >= mshr.entries and self.l1d.probe(line) is None:
+            mshr.stats.entry_stall_cycles += 1
             return _BLOCKED
 
         tlb_hit = True
@@ -289,7 +302,9 @@ class MemoryHierarchy:
         l1res = self.l1d.access(line, write)
         if entry is not None:
             # secondary access: the data arrives with the in-flight fill
-            self.dmshr.merge(entry)
+            # (inlined MSHRFile.merge: the free target slot is checked)
+            entry.targets_used += 1
+            mshr.stats.merges += 1
             latency += max(c.l1d_latency, entry.ready_cycle - self.cycle)
             return DAccessOutcome(latency, l1res, l1res.hit, True, tlb_hit,
                                   merged=True)
@@ -298,11 +313,18 @@ class MemoryHierarchy:
                 latency += c.fast_way_hit_latency
             else:
                 latency += c.l1d_latency
-            return DAccessOutcome(latency, l1res, True, True, tlb_hit)
+            # a hit's outcome is fixed by its shared result, the TLB
+            # outcome and the latency: build each one once
+            key = (l1res, tlb_hit, latency)
+            out = self._hit_outcomes.get(key)
+            if out is None:
+                out = self._hit_outcomes[key] = DAccessOutcome(
+                    latency, l1res, True, True, tlb_hit)
+            return out
         # primary miss: start the fill and track it until completion
         miss_lat, l2_hit = self._miss_latency(addr, write)
         fill_lat = c.l1d_latency + miss_lat
-        self.dmshr.allocate(line, self.cycle + fill_lat)
+        mshr.allocate(line, self.cycle + fill_lat)
         latency += fill_lat
         return DAccessOutcome(latency, l1res, False, l2_hit, tlb_hit,
                               mshr_fill=True)

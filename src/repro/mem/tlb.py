@@ -33,9 +33,9 @@ class TLB:
         page = addr >> self.page_shift
         if page in self._map:
             self._map[page] = self._clock
-            self.hits.add()
+            self.hits.value += 1  # counters bumped in place (hot path)
             return True
-        self.misses.add()
+        self.misses.value += 1
         if len(self._map) >= self.entries:
             victim = min(self._map, key=self._map.__getitem__)
             del self._map[victim]

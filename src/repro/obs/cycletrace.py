@@ -22,7 +22,9 @@ from __future__ import annotations
 import json
 from collections import deque
 
-#: per-cycle occupancy record layout (order matters: compact rows)
+#: per-cycle occupancy record layout (order matters: compact rows);
+#: ``inflight`` is the ROB occupancy (the ROB is the in-flight window),
+#: kept as its own column so the row format does not change
 SNAP_FIELDS = (
     "cycle", "rob", "int_iq", "fp_iq", "fetch_q", "pending_loads",
     "committed", "inflight",
@@ -66,7 +68,7 @@ class CycleTracer:
             len(pipe.fetch_queue),
             len(pipe._pending_loads),
             pipe.committed,
-            len(pipe._inflight),
+            len(pipe.rob.buf),
         ))
 
     def event(self, cycle: int, kind: str, **fields) -> None:

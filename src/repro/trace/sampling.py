@@ -69,6 +69,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from repro.core.pipeline import Pipeline, SimResult
 from repro.isa.uop import UOp
 from repro.obs import spans as _spans
@@ -154,17 +156,26 @@ class SampledStream:
     from the source's ``take_batch`` when it has one -- trace files and
     synthetic workloads -- else materialised from the iterator); an
     engine with only ``warm`` sees skipped uops one at a time.
+
+    Over a source with ``take_batch`` the stream serves ``take_batch``
+    too (an instance attribute, so the pipeline's fetch finds it only
+    then): record batches of at most the rest of the current window,
+    with the producer-distance clamp applied, so no detailed
+    instruction is built as a ``UOp``.  The next gap is skipped at the
+    request after the window's last record, the same fetch request as
+    with ``next()``.  Fetch may hold records of its last batch it has
+    not fetched; :meth:`unread` gives them back when the run ends.
     """
 
     def __init__(self, source: Iterable[UOp], plan: SamplePlan, engine):
         self._it = iter(source)
         self._plan = plan
         self._warm_batch = getattr(engine, "warm_batch", None)
-        if self._warm_batch is not None:
-            self._take_batch = getattr(source, "take_batch", None)
-        else:
-            self._take_batch = None
+        if self._warm_batch is None:
             self._warm = engine.warm
+        self._source_batch = getattr(source, "take_batch", None)
+        if self._source_batch is not None:
+            self.take_batch = self._take_window
         self.consumed = 0
         self.yielded = 0
 
@@ -172,30 +183,69 @@ class SampledStream:
         return self
 
     def __next__(self) -> UOp:
+        if not self._skip_gap():
+            raise StopIteration
+        u = next(self._it)
+        pos = self.consumed % self._plan.period
+        self.consumed += 1
+        v = UOp(
+            self.yielded, u.pc, u.op,
+            src1=min(u.src1, pos), src2=min(u.src2, pos),
+            addr=u.addr, size=u.size, taken=u.taken, target=u.target,
+        )
+        self.yielded += 1
+        return v
+
+    def _take_window(self, n: int):
+        """Up to ``n`` records of the current window as one record
+        batch (``take_batch`` of a stream over a batch source)."""
+        if not self._skip_gap():
+            return self._source_batch(0)
+        pos = self.consumed % self._plan.period
+        rec = self._source_batch(min(n, self._plan.simulated_per_period - pos))
+        got = len(rec)
+        if got:
+            # a producer distance cannot reach back past the window start
+            reach = np.arange(pos, pos + got)
+            if (rec["src1"] > reach).any() or (rec["src2"] > reach).any():
+                rec = rec.copy()  # never write the source's (shared) buffer
+                np.minimum(rec["src1"], reach, out=rec["src1"], casting="unsafe")
+                np.minimum(rec["src2"], reach, out=rec["src2"], casting="unsafe")
+            self.consumed += got
+            self.yielded += got
+        return rec
+
+    def unread(self, n: int) -> None:
+        """Give back the last ``n`` records handed out by ``take_batch``
+        that fetch never fetched: they count as neither consumed nor
+        yielded, as with ``next()``, which hands out nothing unfetched."""
+        self.consumed -= n
+        self.yielded -= n
+
+    def _skip_gap(self) -> bool:
+        """Skip (warming) to the next window start once past the
+        current window's end; False when the source ends first."""
         keep = self._plan.simulated_per_period
         period = self._plan.period
         while True:
             pos = self.consumed % period
-            if pos >= keep and self._warm_batch is not None:
-                if self._skip_batch(period - pos) == 0:
-                    raise StopIteration
-                continue
-            u = next(self._it)
-            self.consumed += 1
             if pos < keep:
-                v = UOp(
-                    self.yielded, u.pc, u.op,
-                    src1=min(u.src1, pos), src2=min(u.src2, pos),
-                    addr=u.addr, size=u.size, taken=u.taken, target=u.target,
-                )
-                self.yielded += 1
-                return v
+                return True
+            if self._warm_batch is not None:
+                if self._skip_batch(period - pos) == 0:
+                    return False
+                continue
+            try:
+                u = next(self._it)
+            except StopIteration:
+                return False
+            self.consumed += 1
             self._warm(u)
 
     def _skip_batch(self, want: int) -> int:
         """Drain up to ``want`` skipped uops through the batch engine."""
-        if self._take_batch is not None:
-            rec = self._take_batch(want)
+        if self._source_batch is not None:
+            rec = self._source_batch(want)
         else:
             rec = self._pull_batch(want)
         n = len(rec)
@@ -410,6 +460,9 @@ def run_sampled(
             f"{plan.measure} needs more than {plan.warmup} simulated per "
             "window; use a longer trace or a smaller plan"
         )
+    # records fetch took but never fetched were not simulated: they are
+    # left out of the coverage counts (a next()-fed run never took them)
+    stream.unread(pipe.read_ahead)
     # delta from entry: the same pipe may have committed instructions
     # before run_sampled was called, and those are not ours to report
     result = _merge(windows, plan, stream,

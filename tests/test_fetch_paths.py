@@ -161,3 +161,77 @@ def test_refused_dispatch_leaves_instruction_untouched(make):
     assert not q.dispatch(ins)
     assert _fields(ins) == before
     assert vars(q.stats) == stats and q.energy.as_dict() == energy
+
+
+# -- sampled streams: batch-fed within a window vs next()-fed ----------------
+
+#: period / warm-up / measure of the sampled equivalence runs: short gaps
+#: keep them fast, and three windows cross two skip gaps
+PLAN = (4000, 600, 400)
+
+
+def _sampled(source, engine: str):
+    from repro.trace.sampling import SamplePlan, run_sampled
+
+    lsq = SamieLSQ(SamieConfig(shared_entries=1, addr_buffer_slots=6,
+                               slots_per_entry=2, entries_per_bank=1))
+    pipe = build_processor(lsq, ProcessorConfig(track_data=True))
+    r = run_sampled(pipe, source, SamplePlan(*PLAN), max_measured=3 * PLAN[2],
+                    warm_engine=engine)
+    stream = pipe._trace
+    return (r.to_dict(), pipe.committed_load_values, pipe.committed_memory(),
+            stream.consumed, stream.yielded), hasattr(stream, "take_batch")
+
+
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+@pytest.mark.parametrize("kind", ["synthetic", "trace", "trace-ends-mid-window"])
+def test_sampled_batch_feed_equals_next_feed(engine, kind, tmp_path):
+    """A sampled stream over a batch source hands fetch record batches
+    within a window; the run equals the ``next()``-fed one (the same
+    source as a plain iterator) on every field, the coverage counts
+    included: records fetch took but never fetched are left out."""
+    if kind == "synthetic":
+        def source():
+            return make_trace("ammp", 1)
+    else:
+        # the short trace ends 250 records into the third window
+        n = 2 * PLAN[0] + 250 if kind == "trace-ends-mid-window" else 3 * PLAN[0]
+        path = str(tmp_path / "ammp.uoptrace")
+        write_trace(path, itertools.islice(make_trace("ammp", 1), n))
+
+        def source():
+            return TraceStream(path)
+    batch, batch_fed = _sampled(source(), engine)
+    plain, plain_fed = _sampled(_plain(source()), engine)
+    assert batch_fed and not plain_fed
+    assert batch == plain
+    sampling = batch[0]["extra"]["sampling"]
+    assert sampling["source_uops_consumed"] == batch[3]
+    if kind == "trace-ends-mid-window":
+        assert sampling["windows"] == 2
+        assert sampling["source_uops_consumed"] == 2 * PLAN[0] + 250
+    else:
+        assert sampling["windows"] == 3
+    assert batch[0]["deadlock_flushes"] > 0  # the refetch path ran
+
+
+def test_sampled_batch_is_clamped_and_window_bounded():
+    """``take_batch`` of a sampled stream never crosses a window end and
+    clamps each producer distance to the record's window position."""
+    from repro.trace.sampling import SampledStream, SamplePlan, make_warm_engine
+
+    plan = SamplePlan(*PLAN)
+    pipe = build_processor("conventional")
+    stream = SampledStream(make_trace("mcf", 1), plan, make_warm_engine(pipe))
+    ref = SampledStream(_plain(make_trace("mcf", 1)), plan, make_warm_engine(pipe))
+    keep = plan.simulated_per_period
+    sizes = []
+    for _ in range(12):
+        rec = stream.take_batch(256)
+        sizes.append(len(rec))
+        want = [next(ref) for _ in range(len(rec))]
+        assert rec["src1"].tolist() == [u.src1 for u in want]
+        assert rec["src2"].tolist() == [u.src2 for u in want]
+        assert rec["pc"].tolist() == [u.pc for u in want]
+    assert sizes[:5] == [256, 256, 256, 232, 256]  # window 1 ends at 1000
+    assert sum(sizes[:4]) == keep
