@@ -18,10 +18,15 @@ latches.
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import starmap
+from operator import attrgetter
+from typing import Any, Iterable, Iterator
 
 from repro.isa.opclasses import OP_BY_CODE, OP_FLAGS, OpClass
 from repro.isa.uop import UOp
+
+#: the static fields, in constructor order
+_STATIC = attrgetter("seq", "pc", "op", "src1", "src2", "addr", "size", "taken", "target")
 
 
 class InFlight:
@@ -136,6 +141,13 @@ class InFlight:
         dynamic state."""
         return cls(uop.seq, uop.pc, uop.op, uop.src1, uop.src2,
                    uop.addr, uop.size, uop.taken, uop.target)
+
+    @classmethod
+    def copies(cls, instrs: Iterable["InFlight"]) -> Iterator["InFlight"]:
+        """``from_uop`` of each of ``instrs``, in order, without a Python
+        call per instance besides the constructor (a flush copies up to
+        a window of them)."""
+        return starmap(cls, map(_STATIC, instrs))
 
     @classmethod
     def from_records(cls, rec, seq0: int) -> list["InFlight"]:

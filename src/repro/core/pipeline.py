@@ -17,9 +17,9 @@ Stage order within one simulated cycle (see DESIGN.md §3 for rationale):
 6. dispatch: fetch queue -> ROB/IQ/LSQ (moves the fetched object)
 7. fetch:    trace -> fetch queue (prediction, I-cache); builds the
              one :class:`~repro.core.inflight.InFlight` per instruction
-8. sample:   telemetry (active area, occupancies), charged once per run
-             of unchanged LSQ state: a run closes when the LSQ's area
-             breakdown changes, at a stats reset and at the result
+8. sample:   telemetry (active area, occupancies), charged by the LSQ
+             model itself where its state changes: ``step`` only tells
+             it the cycle (``lsq.now``), see :mod:`repro.energy.leakage`
 
 On a branch misprediction fetch stalls until the branch resolves
 (trace-driven: there is no wrong path).  A pipeline flush (the SAMIE
@@ -39,9 +39,10 @@ completing its AGU step, anything else its execution or data return.
 from __future__ import annotations
 
 import copy
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Iterator
 
 from repro.branch.btb import BTB
@@ -53,12 +54,13 @@ from repro.core.issue_queue import IssueQueue
 from repro.core.rob import ReorderBuffer
 from repro.common.stats import Histogram
 from repro.energy.accounting import EnergyAccount
-from repro.energy.leakage import ActiveAreaTracker
 from repro.energy.tables import CACHE_ENERGY
 from repro.isa.opclasses import EXEC_LATENCY, PIPELINED, fu_pool_for
 from repro.isa.uop import UOp
 from repro.lsq.base import BaseLSQ, RouteKind
+from repro.lsq.samie import OCC_HIST_MAX
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.mem.mshr import NEVER
 from repro.obs.telemetry import SECTIONS, build_extra, get_telemetry
 
 #: "no sequence number": above every real seq (frontier / bound sentinel)
@@ -66,6 +68,9 @@ _NO_SEQ = 1 << 62
 
 #: records fetch takes per ``take_batch`` call from a batch source
 _FETCH_BATCH = 256
+
+#: an instruction's seq, read without a Python-level call
+_SEQ = attrgetter("seq")
 
 #: hoisted Table 5 cache-access energies (read per data-side access)
 _E_DCACHE_WAY = CACHE_ENERGY["dcache_way_known_access"]
@@ -179,12 +184,10 @@ class Pipeline:
     # assignment working (e.g. the benchmark harness wraps stage methods)
     __slots__ = (
         "cfg", "lsq", "mem", "predictor", "btb", "rob", "int_iq", "fp_iq",
-        "pools", "fetch_queue", "_fetch_cap", "cache_energy", "area",
-        "_pool_list", "_sample_occ", "_issue_info",
-        "_area_acc", "_occ_list", "_ab_buf", "_skip_area",
-        "_held_bd", "_held_occ", "_held_ab", "_held_since",
-        "_lsq_begin_cycle", "_lsq_area_breakdown", "_lsq_record_location",
-        "_lsq_addr_gate", "_lsq_overflows",
+        "pools", "fetch_queue", "_fetch_cap", "cache_energy",
+        "_pool_list", "_fu_touched", "_busy_due", "_sample_occ", "_issue_info",
+        "_lsq_begin_cycle", "_lsq_retry_queue", "_lsq_record_location",
+        "_lsq_reserve_address", "_lsq_overflows",
         "_commit_width", "_decode_width", "_fetch_width", "_watchdog",
         "_track_data", "_iw_int", "_iw_fp",
         "cycle", "committed", "deadlock_flushes", "overflow_flushes",
@@ -197,7 +200,6 @@ class Pipeline:
         "_flush_requested",
         "_ref_mem", "_expected", "_committed_mem", "data_violations",
         "committed_load_values",
-        "shared_occ_hist", "addr_buffer_busy_cycles",
         "_stat_cycle0", "_stat_committed0",
         "_ctrace",
         "event_skip", "skipped_cycles",
@@ -225,61 +227,43 @@ class Pipeline:
         self.fetch_queue: deque[InFlight] = deque()
         self._fetch_cap = cfg.fetch_queue
         self.cache_energy = EnergyAccount()
-        self.area = ActiveAreaTracker()
         # SAMIE presentBit invalidation hook
         self.mem.l1d.on_evict = self.lsq.on_l1_evict
         # hot-loop latches: resolved once so step() skips quiescent stages
         # without attribute/hasattr churn
         self._pool_list = tuple(self.pools.values())
-        self._sample_occ = cfg.sample_occupancy and hasattr(lsq, "shared_in_use")
-        # stable container references (cleared in place, never replaced):
-        # the per-cycle telemetry reads them without method-call churn
-        self._area_acc = self.area._area_cycles
-        self._occ_list = lsq._shared if self._sample_occ else None
-        self._ab_buf = lsq._addr_buffer._buf if self._sample_occ else None
-        # a constant-zero breakdown (ARB) skips the per-step identity
-        # test; the accumulator is seeded instead so results keep the
-        # component key
-        self._skip_area = bool(getattr(lsq, "area_is_constant_zero", False))
-        if self._skip_area:
-            for comp, area in lsq.area_breakdown().items():
-                self._area_acc[comp] += area
-        # stage 8 is charged per run of unchanged LSQ state: the state
-        # last seen (breakdown object, SharedLSQ occupancy, AddrBuffer
-        # busy) and the cycle since which it has held; _flush_area
-        # closes the run
-        self._held_bd: dict[str, float] | None = None
-        self._held_occ = 0
-        self._held_ab = False
-        self._held_since = 0
+        #: pools that issued this cycle: the next step resets only them
+        self._fu_touched: list[FuncUnitPool] = []
+        #: earliest completion cycle of a busy non-pipelined unit (a
+        #: lower bound; NEVER while none is busy): units are released
+        #: only once it is due
+        self._busy_due = NEVER
+        #: SharedLSQ occupancy and AddrBuffer-busy telemetry (SAMIE)
+        self._sample_occ = cfg.sample_occupancy and hasattr(lsq, "shared_occupancy")
         #: OpClass -> (pool, exec latency, pipelined?): one lookup per issue
         self._issue_info = {
             op: (self.pools[fu_pool_for(op)], EXEC_LATENCY[op], PIPELINED[op])
             for op in EXEC_LATENCY
         }
         # per-cycle bound methods and config scalars, resolved once; a
-        # model using a base no-op hook (begin_cycle, record_location,
-        # the can_accept_address/address_issued pair) skips the call
+        # model using a base no-op hook (record_location,
+        # reserve_address) skips the call, and begin_cycle is called
+        # only while its retry queue is not empty
         model = type(lsq)
-        self._lsq_begin_cycle = (
-            lsq.begin_cycle
-            if model.begin_cycle is not BaseLSQ.begin_cycle
-            else None
-        )
+        self._lsq_begin_cycle = lsq.begin_cycle
+        self._lsq_retry_queue = lsq.retry_queue()
         self._lsq_record_location = (
             lsq.record_location
             if model.record_location is not BaseLSQ.record_location
             else None
         )
-        self._lsq_addr_gate = (
-            (lsq.can_accept_address, lsq.address_issued)
-            if model.can_accept_address is not BaseLSQ.can_accept_address
-            or model.address_issued is not BaseLSQ.address_issued
+        self._lsq_reserve_address = (
+            lsq.reserve_address
+            if model.reserve_address is not BaseLSQ.reserve_address
             else None
         )
         #: the model raises ``need_flush`` on AddrBuffer overflow (SAMIE)
         self._lsq_overflows = hasattr(lsq, "need_flush")
-        self._lsq_area_breakdown = lsq.area_breakdown
         self._commit_width = cfg.commit_width
         self._decode_width = cfg.decode_width
         self._fetch_width = cfg.fetch_width
@@ -294,8 +278,10 @@ class Pipeline:
         self.overflow_flushes = 0
         self._last_commit_cycle = 0
         #: cycle -> instructions whose event (AGU result, execution or
-        #: data return) is due then; an instruction has at most one
-        self._events: dict[int, list[InFlight]] = {}
+        #: data return) is due then; an instruction has at most one.  Only
+        #: scheduling indexes it (``[when].append``); everything else
+        #: reads with ``in``, ``pop`` and ``min``, which add no key
+        self._events: defaultdict[int, list[InFlight]] = defaultdict(list)
         self._pending_loads: list[InFlight] = []
         #: lower bound on the seqs in _pending_loads: while the oldest
         #: unresolved store is older, every pending load is blocked
@@ -329,9 +315,6 @@ class Pipeline:
         #: compared against the standalone golden model by repro.verify.diff
         self.committed_load_values: dict[int, tuple[int, ...]] = {}
 
-        # occupancy telemetry
-        self.shared_occ_hist = Histogram(max_value=512)
-        self.addr_buffer_busy_cycles = 0
         self._stat_cycle0 = 0
         self._stat_committed0 = 0
 
@@ -423,10 +406,8 @@ class Pipeline:
     # ------------------------------------------------------------------
     # stage 2: complete (dependent wake-up is inlined in the event loop)
     # ------------------------------------------------------------------
-    def _complete(self) -> None:
-        events = self._events.pop(self.cycle, None)
-        if events is None:
-            return
+    def _complete(self, events: list[InFlight]) -> None:
+        """Consume this cycle's events (the bucket ``step`` popped)."""
         int_iq = self.int_iq
         fp_iq = self.fp_iq
         lsq = self.lsq
@@ -469,52 +450,46 @@ class Pipeline:
                     if w.addr_ready and not w.done:
                         w.done = True
             if ins.is_branch:
-                self._resolve_branch(ins)
-
-    def _resolve_branch(self, ins: InFlight) -> None:
-        self.predictor.update(ins.pc, ins.taken)
-        if ins.taken:
-            self.btb.update(ins.pc, ins.target)
-        if self._fetch_stall_seq == ins.seq:
-            self._fetch_stall_seq = None
+                # resolution: train the predictor, release a fetch stall
+                self.predictor.update(ins.pc, ins.taken)
+                if ins.taken:
+                    self.btb.update(ins.pc, ins.target)
+                if self._fetch_stall_seq == ins.seq:
+                    self._fetch_stall_seq = None
 
     # ------------------------------------------------------------------
     # stage 3: commit
     # ------------------------------------------------------------------
     def _commit(self) -> None:
+        """Retire from the ROB head; ``step`` calls it only when the head
+        can retire or awaits its priority placement."""
         buf = self.rob.buf
-        if not buf:
-            return
-        head = buf[0]
-        if not head.done and not (
-            head.is_mem and head.addr_ready and head.placement is None
-        ):
-            return  # common stalled case: head simply not finished yet
         lsq = self.lsq
         mem = self.mem
         dports = mem.dports
         track = self._track_data
+        retired = 0
         for _ in range(self._commit_width):
             if not buf:
-                return
+                break
             head = buf[0]
             if head.is_mem and head.addr_ready and head.placement is None:
                 # the paper's deadlock-avoidance check (§3.3)
                 if lsq.head_blocked(head):
                     self._flush(reason="deadlock")
-                    return
+                    break
                 if head.placement is None:
-                    return  # placed next cycle via AddrBuffer drain
+                    break  # placed next cycle via AddrBuffer drain
             if not head.done:
-                return
+                break
             if head.is_mem:
                 if head.is_store:
                     if head.placement is None:
-                        return  # cannot write the cache before disambiguation
+                        break  # cannot write the cache before disambiguation
                     if mem.daccess_blocked(head.addr, head):
-                        return  # MSHR exhausted: retry writeback next cycle
+                        break  # MSHR exhausted: retry writeback next cycle
                     if dports._used >= dports.ports:
-                        return  # no write port this cycle
+                        break  # no write port this cycle
                     dports._used += 1
                     self._store_writeback(head)
                 lsq.commit(head)
@@ -530,7 +505,9 @@ class Pipeline:
                 expected = self._expected.pop(seq, None)
                 if expected is not None and head.load_value != expected:
                     self.data_violations.append((seq, expected, head.load_value))
-            self.committed += 1
+            retired += 1
+        if retired:
+            self.committed += retired
             self._last_commit_cycle = self.cycle
 
     def _store_writeback(self, ins: InFlight) -> None:
@@ -563,17 +540,11 @@ class Pipeline:
     # ------------------------------------------------------------------
     # stage 4: memory
     # ------------------------------------------------------------------
-    def _memory_issue(self) -> None:
+    def _memory_issue(self, frontier: int) -> None:
+        """Start ready loads.  ``frontier`` is the seq of the oldest store
+        with an unknown address, which bounds which loads issue; ``step``
+        calls this only when a pending load is older than it."""
         pending = self._pending_loads
-        if not pending:
-            return
-        # the oldest store with an unknown address bounds which loads issue
-        q = self._unresolved_stores
-        while q and q[0].disamb_resolved:
-            q.popleft()
-        frontier = q[0].seq if q else _NO_SEQ
-        if frontier < self._pending_min:
-            return  # every pending load waits on an older unresolved store
         lsq = self.lsq
         mem = self.mem
         dports = mem.dports
@@ -635,14 +606,10 @@ class Pipeline:
                     )
                 lat = out.latency
                 when = cycle + lat if lat > 1 else cycle + 1
-            bucket = events.get(when)
-            if bucket is None:
-                events[when] = [ld]
-            else:
-                bucket.append(ld)
+            events[when].append(ld)
         if still is not None:
             self._pending_loads = still
-            self._pending_min = min([ld.seq for ld in still], default=_NO_SEQ)
+            self._pending_min = min(map(_SEQ, still), default=_NO_SEQ)
 
     # ------------------------------------------------------------------
     # stage 5: issue
@@ -655,39 +622,39 @@ class Pipeline:
 
     def _issue_from(self, iq: IssueQueue, width: int) -> None:
         ready = iq._ready
-        gate = self._lsq_addr_gate
+        reserve = self._lsq_reserve_address
         cycle = self.cycle
         issue_info = self._issue_info
         events = self._events
+        touched = self._fu_touched
         deferred: list[InFlight] = []
         issued = 0
         while issued < width and ready:
             # the oldest ready instruction leaves the queue
             ins = heappop(ready)[1]
             iq.size -= 1
-            is_mem = ins.is_mem
-            if is_mem and gate is not None and not gate[0]():
-                deferred.append(ins)  # §3.3: no guaranteed AddrBuffer slot
-                continue
             pool, lat, pipelined = issue_info[ins.op]
-            # claim a unit: per-cycle bandwidth minus busy non-pipelined units
-            if pool.units - pool._issued_this_cycle - len(pool._busy_until) <= 0:
+            # claim a unit (per-cycle bandwidth minus busy non-pipelined
+            # units) and, for a memory op, a guaranteed landing spot for
+            # its address (§3.3); both checks are free of side effects
+            # until the reservation succeeds
+            n = pool._issued_this_cycle
+            if pool.units - n - len(pool._busy_until) <= 0 or (
+                ins.is_mem and reserve is not None and not reserve()
+            ):
                 deferred.append(ins)
                 continue
-            pool._issued_this_cycle += 1
+            if not n:
+                touched.append(pool)  # the next step resets its bandwidth
+            pool._issued_this_cycle = n + 1
             if not pipelined:
                 pool._busy_until.append(cycle + lat)
+                if cycle + lat < self._busy_due:
+                    self._busy_due = cycle + lat
             ins.issued = True
             issued += 1
-            if is_mem and gate is not None:
-                gate[1]()  # reserve the landing spot
             # the AGU result (memory ops) or the execution is due
-            when = cycle + lat
-            bucket = events.get(when)
-            if bucket is None:
-                events[when] = [ins]
-            else:
-                bucket.append(ins)
+            events[cycle + lat].append(ins)
         for ins in deferred:
             # not issued this cycle: back into the ready heap
             heappush(ready, (ins.seq, ins))
@@ -702,8 +669,6 @@ class Pipeline:
         rob_buf = rob.buf
         rob_cap = rob.capacity
         n = len(rob_buf)  # kept in step with the appends below
-        if not fq or n >= rob_cap:
-            return  # cheap exit before binding the per-uop locals
         lsq = self.lsq
         int_iq = self.int_iq
         fp_iq = self.fp_iq
@@ -783,8 +748,8 @@ class Pipeline:
     # stage 7: fetch
     # ------------------------------------------------------------------
     def _fetch(self) -> None:
-        if self._fetch_stall_seq is not None or self.cycle < self._fetch_block_until:
-            return
+        """Fetch up to the queue's room; ``step`` calls this only when
+        fetch is neither stalled on a branch nor blocked on an I-miss."""
         fq = self.fetch_queue
         # each slot appends one instruction: the queue's room bounds them
         slots = self._fetch_cap - len(fq)
@@ -850,8 +815,8 @@ class Pipeline:
         # the fetch queue, then the copies not yet refetched (they are
         # still fresh); together they are every fetched, uncommitted
         # instruction, so no dynamic state survives the squash
-        refetch = deque(map(InFlight.from_uop, rob_buf))
-        refetch.extend(map(InFlight.from_uop, self.fetch_queue))
+        refetch = deque(InFlight.copies(rob_buf))
+        refetch.extend(InFlight.copies(self.fetch_queue))
         refetch.extend(self._refetch)
         self._refetch = refetch
         if self._ctrace is not None:
@@ -869,6 +834,7 @@ class Pipeline:
         self.fp_iq.clear()
         for pool in self.pools.values():
             pool.flush()
+        self._busy_due = NEVER
         self.fetch_queue.clear()
         self.lsq.flush()
         self._fetch_stall_seq = None
@@ -889,110 +855,94 @@ class Pipeline:
     def step(self) -> None:
         """Advance the machine by one cycle.
 
-        Stage methods are only invoked when their inputs are non-empty
-        (events scheduled, ROB/issue-heap/pending-load occupancy, fetch
-        not stalled): a skipped stage is one that would have done nothing,
-        so results are bit-identical to the unconditional ordering while
-        quiescent stages cost nothing.  Telemetry (stage 8) costs one
-        identity test against the LSQ's cached area breakdown; see
-        :meth:`_flush_area`.
+        Stage methods are only invoked when they can act (an event due,
+        a ROB head that can retire or awaits placement, a pending load
+        older than every unresolved store, a non-empty ready heap, a
+        fetch queue with room in the ROB, fetch neither stalled nor
+        out of queue room): a skipped stage is one that would have done
+        nothing, so results are bit-identical to the unconditional
+        ordering while quiescent stages cost nothing.
+        Per-cycle resets likewise touch only what the last cycle used.
+        Stage 8 (telemetry) is the LSQ model's own: ``step`` only writes
+        the cycle into ``lsq.now``, at which the model charges every
+        change of its state (:mod:`repro.energy.leakage`).
         """
         cycle = self.cycle
+        self.lsq.now = cycle
         # inlined MemoryHierarchy.new_cycle: advance the fill clock,
-        # release ports, retire completed MSHR fills when any exist
+        # release ports, retire completed MSHR fills once one is due
+        # (an idle file's _min_ready is NEVER)
         mem = self.mem
         mem.cycle = mem_cycle = mem.cycle + 1
         dports = mem.dports
         if dports._used:
             dports._used = 0
-        # (MSHRFile.retire is called only once its earliest fill is due)
         dmshr = mem.dmshr
-        if not dmshr.instant_fill:
-            if dmshr._inflight and mem_cycle >= dmshr._min_ready:
-                dmshr.retire(mem_cycle)
-            imshr = mem.imshr
-            if imshr._inflight and mem_cycle >= imshr._min_ready:
-                imshr.retire(mem_cycle)
-        for pool in self._pool_list:
-            # FU pools: reset issue bandwidth, and release finished
-            # non-pipelined units once one of them is done
-            if pool._issued_this_cycle:
+        if mem_cycle >= dmshr._min_ready:
+            dmshr.retire(mem_cycle)
+        imshr = mem.imshr
+        if mem_cycle >= imshr._min_ready:
+            imshr.retire(mem_cycle)
+        # FU pools: reset the issue bandwidth of those that issued, and
+        # release finished non-pipelined units once the earliest is due
+        touched = self._fu_touched
+        if touched:
+            for pool in touched:
                 pool._issued_this_cycle = 0
-            busy = pool._busy_until
-            if busy and min(busy) <= cycle:
-                pool._busy_until = [c for c in busy if c > cycle]
-        begin = self._lsq_begin_cycle
-        if begin is not None:
-            begin(cycle)
-        if cycle in self._events:
-            self._complete()
+            touched.clear()
+        if cycle >= self._busy_due:
+            due = NEVER
+            for pool in self._pool_list:
+                busy = pool._busy_until
+                if busy:
+                    busy = pool._busy_until = [c for c in busy if c > cycle]
+                    if busy:
+                        due = min(due, *busy)
+            self._busy_due = due
+        if self._lsq_retry_queue:
+            self._lsq_begin_cycle(cycle)
+        events = self._events.pop(cycle, None)
+        if events is not None:
+            self._complete(events)
         if self._flush_requested:
             self._flush(reason="overflow")
-        elif self.rob.buf:
-            if cycle - self._last_commit_cycle > self._watchdog:
-                # deadlock-avoidance backstop (paper §3.3): the window
-                # cannot drain; squash and refetch from the head
-                self._flush(reason="deadlock")
-            else:
-                self._commit()
+        else:
+            buf = self.rob.buf
+            if buf:
+                if cycle - self._last_commit_cycle > self._watchdog:
+                    # deadlock-avoidance backstop (paper §3.3): the window
+                    # cannot drain; squash and refetch from the head
+                    self._flush(reason="deadlock")
+                else:
+                    head = buf[0]
+                    if head.done or (
+                        head.is_mem and head.addr_ready and head.placement is None
+                    ):
+                        self._commit()
         if self._pending_loads:
-            self._memory_issue()
+            # the oldest store with an unknown address bounds which
+            # loads issue; while it is older than every pending load,
+            # they all wait
+            q = self._unresolved_stores
+            while q and q[0].disamb_resolved:
+                q.popleft()
+            frontier = q[0].seq if q else _NO_SEQ
+            if frontier >= self._pending_min:
+                self._memory_issue(frontier)
         if self.int_iq._ready or self.fp_iq._ready:
             self._issue()
-        if self.fetch_queue:
+        fq = self.fetch_queue
+        if fq and len(self.rob.buf) < self.rob.capacity:
             self._dispatch()
-        if self._fetch_stall_seq is None and cycle >= self._fetch_block_until:
+        if (
+            self._fetch_stall_seq is None
+            and cycle >= self._fetch_block_until
+            and len(fq) < self._fetch_cap
+        ):
             self._fetch()
-        # stage 8: telemetry (active area, occupancies).  The LSQ caches
-        # its breakdown dict and rebuilds it (a new object) on every
-        # occupancy change, so one identity test tells whether the held
-        # run of unchanged state goes on through this cycle
-        if not self._skip_area:
-            bd = self._lsq_area_breakdown()
-            if bd is not self._held_bd:
-                self._flush_area(cycle, bd)
         if self._ctrace is not None:
             self._ctrace.snap(self)
         self.cycle = cycle + 1
-
-    def _flush_area(self, upto: int, bd: dict[str, float] | None) -> None:
-        """Close the held stage-8 run at cycle ``upto``; hold ``bd``.
-
-        Stage 8 samples the LSQ state at the end of every cycle: its
-        area breakdown, the SharedLSQ occupancy and whether the
-        AddrBuffer is busy.  The state is charged once per run of
-        cycles over which it held -- steps and skipped spans alike --
-        as ``area * n``, ``n`` histogram samples, ``n`` busy cycles and
-        ``n`` area cycles.  A run closes when the breakdown object
-        changes (the caller passes the one it just fetched), at a stats
-        reset and at :meth:`result`.  The Table 5 areas are integral
-        um^2 (guarded by tests/test_bit_identity.py), so the
-        accumulators only ever hold integers far below 2**53 and one
-        multiply-add equals n repeated additions bit for bit -- the
-        same regrouping argument as SamieLSQ.area_breakdown.
-        """
-        n = upto - self._held_since
-        if n:
-            held = self._held_bd
-            if held is not None:
-                area_cycles = self._area_acc
-                for comp, area in held.items():
-                    area_cycles[comp] += area * n
-            self.area.cycles += n
-            if self._sample_occ:
-                hist = self.shared_occ_hist
-                occ = self._held_occ
-                if occ <= hist.max_value:
-                    hist.buckets[occ] += n
-                else:
-                    hist.overflow += n
-                if self._held_ab:
-                    self.addr_buffer_busy_cycles += n
-        self._held_since = upto
-        self._held_bd = bd
-        if self._sample_occ:
-            self._held_occ = len(self._occ_list)
-            self._held_ab = bool(self._ab_buf)
 
     def reset_stats(self) -> None:
         """Zero all measurement state, keeping architectural state warm.
@@ -1004,17 +954,8 @@ class Pipeline:
         self._stat_committed0 = self.committed
         self.lsq.energy.reset()
         self.lsq.stats = type(self.lsq.stats)()
+        self.lsq.area_reset(self.cycle)
         self.cache_energy.reset()
-        self.area.reset()
-        # restart the held stage-8 run here: its earlier cycles belong
-        # to the measurement epoch that was just zeroed
-        self._held_since = self.cycle
-        if self._skip_area:
-            # re-seed the constant-zero components dropped by the reset
-            for comp, area in self.lsq.area_breakdown().items():
-                self._area_acc[comp] += area
-        self.shared_occ_hist = Histogram(max_value=512)
-        self.addr_buffer_busy_cycles = 0
         self.deadlock_flushes = 0
         self.overflow_flushes = 0
         self.predictor.lookups.reset()
@@ -1068,15 +1009,25 @@ class Pipeline:
         # cycle, so both keep the stepped loop
         if self.event_skip and self._ctrace is None and self.mem.interval_stall_stats:
             skip = self._skip_quiescent
-            while self.committed < target_committed and self.cycle < cycle_limit:
+            # stable containers (mutated in place, never rebound)
+            events = self._events
+            int_ready = self.int_iq._ready
+            fp_ready = self.fp_iq._ready
+            if self.committed >= target_committed:
+                return
+            # the target is checked after each step (skips commit
+            # nothing), and before skipping: once the final instruction
+            # has committed, a skip would only inflate the cycle count
+            # past where a stepped run stops
+            while self.cycle < cycle_limit:
                 if self._trace_exhausted and not self.rob.buf and not self.fetch_queue:
                     break
                 step()
-                # re-check the commit target before skipping: once the
-                # final instruction has committed, a skip would only
-                # inflate the cycle count past where a stepped run stops
                 if self.committed >= target_committed:
                     break
+                # an event due next cycle or anything issuable: active
+                if self.cycle in events or int_ready or fp_ready:
+                    continue
                 skip(cycle_limit)
             return
         while self.committed < target_committed and self.cycle < cycle_limit:
@@ -1088,7 +1039,9 @@ class Pipeline:
         """Jump over cycles on which no stage can make progress.
 
         Runs between steps unless the stepped loop is forced (see
-        :attr:`event_skip` and :meth:`_run_until`).  The guard is
+        :attr:`event_skip` and :meth:`_run_until`), which calls it only
+        when no event is due next cycle and both ready heaps are empty.
+        The rest of the guard is
         *a priori*: every stage must be provably unable to act before
         any cycle is skipped, because several per-cycle probes are not
         no-ops when they can act (SAMIE AddrBuffer drains and ARB
@@ -1099,18 +1052,14 @@ class Pipeline:
         earliest scheduled event, the fetch-stall horizon, the earliest
         D-side fill completion, or the commit watchdog.  The clocks
         jump straight to the earliest wake.  Stage-8 telemetry needs no
-        replay: the LSQ state cannot change while quiescent, so the
-        skipped span is simply part of the held run (:meth:`_flush_area`)
-        and results match with skipping on or off (enforced by
-        tests/test_event_skip.py and the CI ``mshr-smoke`` job).
+        replay: the LSQ state cannot change while quiescent, so the LSQ
+        charges no change inside the skipped span, and results match
+        with skipping on or off (enforced by tests/test_event_skip.py
+        and the CI ``mshr-smoke`` job).
         """
         cycle = self.cycle
-        # an event already due next cycle: nothing to skip
-        if cycle in self._events:
-            return
-        # anything issuable, or a pending overflow flush: active
-        if self.int_iq._ready or self.fp_iq._ready or self._flush_requested:
-            return
+        if self._flush_requested:
+            return  # a pending overflow flush: active
         wake = cycle_limit
         # fetch: able to pull from the trace next cycle -> active; an
         # I-miss block ends at a known cycle, a mispredict stall ends
@@ -1177,13 +1126,12 @@ class Pipeline:
             ev = min(self._events)
             if ev < wake:
                 wake = ev
-        dmshr = mem.dmshr
-        if dmshr._inflight:
-            # blocked store heads / merged accesses resume the cycle
-            # after the fill retires (retire runs on the advanced clock)
-            w = dmshr._min_ready - 1
-            if w < wake:
-                wake = w
+        # blocked store heads / merged accesses resume the cycle after
+        # the fill retires (retire runs on the advanced clock); an idle
+        # file's _min_ready is NEVER
+        w = mem.dmshr._min_ready - 1
+        if w < wake:
+            wake = w
         n = wake - cycle
         if n <= 0:
             return
@@ -1191,21 +1139,32 @@ class Pipeline:
         self.cycle = wake
         mem.cycle = wake
 
+    @property
+    def shared_occ_hist(self) -> Histogram:
+        """SharedLSQ entries in use, one sample per cycle since the last
+        stats reset (empty unless the model has a SharedLSQ and
+        occupancy sampling is on)."""
+        if self._sample_occ:
+            return self.lsq.shared_occupancy(self.cycle)
+        return Histogram(max_value=OCC_HIST_MAX)
+
     def result(self) -> SimResult:
         """Snapshot the run statistics."""
-        self._flush_area(self.cycle, self._held_bd)
         l1d = self.mem.l1d.stats
         dtlb = self.mem.dtlb
         dtlb_total = dtlb.hits.value + dtlb.misses.value
-        stats = self.lsq.stats
+        lsq = self.lsq
+        stats = lsq.stats
         cycles = self.cycle - self._stat_cycle0
+        hist = self.shared_occ_hist
+        busy = lsq.addr_buffer_busy(self.cycle) if self._sample_occ else 0
         return SimResult(
             instructions=self.committed - self._stat_committed0,
             cycles=cycles,
-            lsq_name=self.lsq.name,
-            lsq_energy_pj=self.lsq.energy.as_dict(),
+            lsq_name=lsq.name,
+            lsq_energy_pj=lsq.energy.as_dict(),
             cache_energy_pj=self.cache_energy.as_dict(),
-            area_um2_cycles=self.area.as_dict(),
+            area_um2_cycles=lsq.area_integrals(self.cycle),
             deadlock_flushes=self.deadlock_flushes,
             mispredict_rate=self.predictor.mispredict_rate,
             l1d_miss_rate=l1d.miss_rate,
@@ -1213,11 +1172,9 @@ class Pipeline:
             lsq_stats=vars(stats).copy() if hasattr(stats, "__dict__") else {
                 k: getattr(stats, k) for k in stats.__dataclass_fields__
             },
-            shared_occupancy_mean=self.shared_occ_hist.mean,
-            shared_occupancy_p99=self.shared_occ_hist.quantile(0.99),
-            addr_buffer_busy_frac=(
-                self.addr_buffer_busy_cycles / cycles if cycles else 0.0
-            ),
+            shared_occupancy_mean=hist.mean,
+            shared_occupancy_p99=hist.quantile(0.99),
+            addr_buffer_busy_frac=busy / cycles if cycles else 0.0,
             data_violations=len(self.data_violations),
             extra=build_extra(mshr=self.mem.mshr_stats()),
         )

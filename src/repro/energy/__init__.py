@@ -3,8 +3,8 @@
 ``tables`` holds the paper's published per-event energies (Tables 4 and 5)
 and per-cell areas (Table 6); ``accounting`` turns simulator events into
 joules; ``cacti`` is a CACTI-3.0-style analytical timing model used for
-Table 1 and the §3.6 delay comparison; ``leakage`` accumulates active area
-(the paper's leakage proxy).
+Table 1 and the §3.6 delay comparison; ``leakage`` states the active-area
+policy (the paper's leakage proxy) and how the LSQ models integrate it.
 """
 
 from repro.energy.tables import (
@@ -24,7 +24,6 @@ from repro.energy.tables import (
     slot_area_addrbuffer,
 )
 from repro.energy.accounting import EnergyAccount
-from repro.energy.leakage import ActiveAreaTracker
 from repro.energy.cacti import (
     CactiModel,
     CacheOrg,
@@ -49,7 +48,6 @@ __all__ = [
     "slot_area_shared",
     "slot_area_addrbuffer",
     "EnergyAccount",
-    "ActiveAreaTracker",
     "CactiModel",
     "CacheOrg",
     "cache_access_time",

@@ -1,4 +1,4 @@
-"""Active-area accumulation: the paper's leakage proxy.
+"""Active area: the paper's leakage proxy, and how it is integrated.
 
 CACTI 3.0 does not estimate leakage, so the paper (§4.2) tracks the
 *active area* of each structure every cycle under an aggressive
@@ -9,31 +9,25 @@ power-gating policy:
   extra SharedLSQ entry; within an entry, in-use slots plus one extra;
 * AddrBuffer: in-use slots plus four extra.
 
-``ActiveAreaTracker`` holds the um^2 x cycles accumulated per named
-component, which regenerates Figures 11 and 12.  It is slotted state:
-stage 8 of :mod:`repro.core.pipeline` writes ``_area_cycles`` and
-``cycles`` itself, charging each run of unchanged LSQ state at once.
+The um^2 x cycles per component (Figures 11 and 12) are charged where
+the LSQ state changes, not per cycle.  Each LSQ model keeps the integer
+counters its area is built from (active entries, full banks, powered
+slots, ...).  The state at the end of a cycle holds for that cycle, so
+when a counter ``x`` changes by ``delta`` during the cycle ``now``, the
+model adds ``delta * now`` to the counter's change-weighted sum ``W``.
+The counter's integral over cycles ``[t0, t)`` is then ``x * t - W``,
+and a stats reset at ``t0`` sets ``W = x * t0``.  The integrals are
+exact integers and the Table 5 areas are whole um^2 (guarded by
+tests/test_bit_identity.py), so every product and sum that turns them
+into um^2 x cycles is an integer far below 2**53 and equals the
+per-cycle float sum bit for bit.  SAMIE closes its SharedLSQ occupancy
+histogram runs and AddrBuffer-busy spans at the same change points.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+#: power-gated conventional-LSQ entries kept active beyond those in use
+CONVENTIONAL_EXTRA_ENTRIES = 4
 
-
-class ActiveAreaTracker:
-    """Accumulates per-component active area over cycles."""
-
-    __slots__ = ("_area_cycles", "cycles")
-
-    def __init__(self):
-        self._area_cycles: defaultdict[str, float] = defaultdict(float)
-        self.cycles = 0
-
-    def as_dict(self) -> dict[str, float]:
-        """Snapshot of accumulated area-cycles per component."""
-        return dict(self._area_cycles)
-
-    def reset(self) -> None:
-        """Zero all accumulators."""
-        self._area_cycles.clear()
-        self.cycles = 0
+#: power-gated AddrBuffer slots kept active beyond those in use
+ADDR_BUFFER_EXTRA_SLOTS = 4

@@ -57,12 +57,9 @@ class _Row:
 class ARBLSQ(BaseLSQ):
     """Address Resolution Buffer model."""
 
-    __slots__ = ("cfg", "_banks", "_pending", "_inflight", "_zero_area")
+    __slots__ = ("cfg", "_banks", "_pending", "_inflight")
 
     name = "arb"
-    #: the breakdown is {name: 0.0} forever; the pipeline's telemetry
-    #: stage seeds the accumulator once and skips the per-cycle adds
-    area_is_constant_zero = True
 
     def __init__(self, cfg: ARBConfig | None = None):
         super().__init__()
@@ -71,9 +68,6 @@ class ARBLSQ(BaseLSQ):
         #: (seq, ins) pairs, kept sorted by age (addr-ready, waiting for a row)
         self._pending: list[tuple[int, InFlight]] = []
         self._inflight = 0
-        # constant breakdown: the pipeline samples area every cycle and the
-        # ARB has none (the paper evaluates it on IPC only)
-        self._zero_area = {self.name: 0.0}
 
     # -- helpers -------------------------------------------------------------
     def _bank_of(self, ins: InFlight) -> int:
@@ -125,7 +119,10 @@ class ARBLSQ(BaseLSQ):
         for pair in self._pending:
             if not self._try_place(pair[1]):
                 still.append(pair)
-        self._pending = still
+        self._pending[:] = still  # in place: see retry_queue
+
+    def retry_queue(self):
+        return self._pending
 
     def quiescent(self) -> bool:
         # every pending entry retries placement each cycle, charging
@@ -200,8 +197,8 @@ class ARBLSQ(BaseLSQ):
     def active_area(self) -> float:
         return 0.0  # the paper evaluates the ARB on IPC only (Figure 1)
 
-    def area_breakdown(self) -> dict[str, float]:
-        return self._zero_area
+    def area_integrals(self, t: int) -> dict[str, float]:
+        return {self.name: 0.0}  # no area at any cycle count
 
     def occupancy(self) -> int:
         return self._inflight

@@ -11,8 +11,8 @@ experiment can swap designs without touching the core.  The contract:
   model performs placement/disambiguation bookkeeping and sets
   ``ins.disamb_resolved`` on stores once they no longer block younger
   loads.
-* ``begin_cycle`` runs once per cycle before issue (AddrBuffer drain,
-  retry queues).
+* ``begin_cycle`` runs before issue on every cycle its ``retry_queue``
+  is not empty (AddrBuffer drain, placement retries).
 * ``load_ready``/``route_load`` gate and route a load's memory access;
   ``route_store_commit`` routes a store's cache write at commit.
 * ``commit``/``flush`` release resources.
@@ -20,9 +20,13 @@ experiment can swap designs without touching the core.  The contract:
   extension (no-ops elsewhere).
 * ``active_area`` reports the power-gated active area in um^2 for the
   current cycle (the paper's leakage proxy); ``area_breakdown`` splits
-  it per component.  The pipeline samples the breakdown every cycle
-  and tests it by identity: a model that caches it must return a new
-  dict after any change of the state it depends on.
+  it per component.  Both are instantaneous queries: the pipeline does
+  not sample them.  Each model integrates its own area instead
+  (:mod:`repro.energy.leakage`): the pipeline writes the cycle into
+  ``now`` at the start of every step, a model adds ``delta * now`` to
+  an integer counter's change-weighted sum whenever the counter
+  changes, ``area_reset`` starts a measurement epoch and
+  ``area_integrals`` reads um^2 x cycles per component.
 
 Energy is charged to the model's :class:`~repro.energy.accounting.
 EnergyAccount` as events happen; the pipeline owns D-cache/DTLB energy
@@ -121,13 +125,17 @@ class BaseLSQ(ABC):
     layouts (the models are on the simulator's per-cycle hot path).
     """
 
-    __slots__ = ("energy", "stats", "_fwd_load", "_fwd_src")
+    __slots__ = ("energy", "stats", "_fwd_load", "_fwd_src", "now", "_area_t0")
 
     name = "base"
 
     def __init__(self):
         self.energy = EnergyAccount()
         self.stats = LSQStats()
+        #: the current cycle: area changes are charged at it
+        self.now = 0
+        #: first cycle of the area-integration epoch (see area_reset)
+        self._area_t0 = 0
         #: the load whose forwarding source ``load_ready`` found last,
         #: and that source: ``route_load`` of the same load reuses it
         #: instead of searching again.  Every hook that can change a
@@ -152,6 +160,15 @@ class BaseLSQ(ABC):
 
     def begin_cycle(self, cycle: int) -> None:
         """Per-cycle housekeeping before issue (default: none)."""
+
+    def retry_queue(self):
+        """The container :meth:`begin_cycle` works through (AddrBuffer,
+        placement retries); while it is empty ``begin_cycle`` must be a
+        no-op, so the pipeline calls it only when the container is not
+        empty.  The model mutates it in place, never rebinds it.  The
+        default, for a model without per-cycle work, is always empty.
+        """
+        return ()
 
     def quiescent(self) -> bool:
         """True when :meth:`begin_cycle` (and any other per-cycle retry
@@ -196,17 +213,15 @@ class BaseLSQ(ABC):
     def store_data_arrived(self, ins: InFlight) -> None:
         """A store's data operand became available (datum write energy)."""
 
-    def can_accept_address(self) -> bool:
-        """May another address computation be issued this cycle?
+    def reserve_address(self) -> bool:
+        """Reserve a landing spot for an address computation about to
+        issue; False (nothing reserved) defers it to a later cycle.
 
         Implements the paper's §3.3 alternative to overflow flushes: an
         address computation only executes when it is guaranteed a landing
         spot (for SAMIE, a free AddrBuffer slot).  Default: always.
         """
         return True
-
-    def address_issued(self) -> None:
-        """An address computation was issued (reserve a landing spot)."""
 
     # -- SAMIE extension hooks (no-ops by default) ---------------------------
     def record_location(self, ins: InFlight, set_idx: int, way: int) -> None:
@@ -238,6 +253,19 @@ class BaseLSQ(ABC):
     def area_breakdown(self) -> dict[str, float]:
         """Active area per component (default: single bucket)."""
         return {self.name: self.active_area()}
+
+    def area_reset(self, t0: int) -> None:
+        """Start a new area-integration epoch at cycle ``t0`` (a stats
+        reset); a model with counters also sets each change-weighted
+        sum ``W`` to ``x * t0``."""
+        self._area_t0 = t0
+
+    @abstractmethod
+    def area_integrals(self, t: int) -> dict[str, float]:
+        """Active area x cycles per component over cycles ``[t0, t)``,
+        where the state at the end of each cycle holds for that cycle
+        (``{}`` for an empty window, unless the model has no area at
+        all and reports its zero component)."""
 
     @abstractmethod
     def occupancy(self) -> int:

@@ -32,6 +32,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 
 from repro.core.inflight import InFlight
+from repro.energy.leakage import CONVENTIONAL_EXTRA_ENTRIES
 from repro.energy.tables import CONVENTIONAL_LSQ_ENERGY as E
 from repro.energy.tables import entry_area_conventional
 from repro.lsq.base import (
@@ -46,10 +47,6 @@ from repro.lsq.base import (
 #: aligned-word granularity of the forwarding index (8-byte rows, matching
 #: the synthetic ISA's maximum access size)
 _WORD_SHIFT = 3
-
-#: power-gated entries kept active beyond those in use: the paper's "four
-#: extra entries" (§4.2)
-ACTIVE_EXTRA = 4
 
 #: Table 4 constants, charged by direct accumulator adds at the
 #: per-access sites (they are non-negative, as ``EnergyAccount.charge``
@@ -68,7 +65,7 @@ class ConventionalLSQ(BaseLSQ):
     __slots__ = (
         "capacity", "_ents", "_stores", "_loads",
         "_store_words", "_ready_store_seqs", "_ready_load_seqs",
-        "_entry_area", "_area_cache",
+        "_entry_area", "_powered_cap", "_powered_w",
     )
 
     name = "conventional"
@@ -85,19 +82,23 @@ class ConventionalLSQ(BaseLSQ):
         self._ready_store_seqs: list[int] = []
         self._ready_load_seqs: list[int] = []
         self._entry_area = entry_area_conventional()
-        # cached active-area breakdown (the pipeline samples every cycle;
-        # occupancy changes only at dispatch/commit/flush)
-        self._area_cache: dict[str, float] | None = None
+        #: most entries that can be powered (capacity, or unbounded)
+        self._powered_cap = capacity if capacity is not None else 1 << 62
+        #: change-weighted sum of the powered-entry count
+        #: (repro.energy.leakage); it changes only at dispatch, commit
+        #: and flush
+        self._powered_w = 0
 
     # -- lifecycle ---------------------------------------------------------
     def dispatch(self, ins: InFlight) -> bool:
         if self.capacity is not None and len(self._ents) >= self.capacity:
             return False
         self._ents.append(ins)
+        if len(self._ents) + CONVENTIONAL_EXTRA_ENTRIES <= self._powered_cap:
+            self._powered_w += self.now  # one more entry powered
         (self._stores if ins.is_store else self._loads).append(ins)
         self.stats.dispatched += 1
         ins.placement = self  # dispatched == placed for this design
-        self._area_cache = None
         return True
 
     def dispatch_would_block(self) -> bool:
@@ -210,59 +211,64 @@ class ConventionalLSQ(BaseLSQ):
         return CACHE_STORE_ROUTES[False][False]
 
     # -- release -------------------------------------------------------------
-    def _drop_ready_seq(self, seqs: list[int], seq: int) -> None:
-        i = bisect_left(seqs, seq)
-        if i < len(seqs) and seqs[i] == seq:
-            del seqs[i]
-
     def commit(self, ins: InFlight) -> None:
         self._fwd_load = None
         if self._ents and self._ents[0] is ins:
             self._ents.popleft()
         else:  # pragma: no cover - commit is in order by construction
             self._ents.remove(ins)
+        if len(self._ents) + CONVENTIONAL_EXTRA_ENTRIES < self._powered_cap:
+            self._powered_w -= self.now  # one entry fewer powered
         q = self._stores if ins.is_store else self._loads
         if q and q[0] is ins:
             q.popleft()
         else:  # pragma: no cover
             q.remove(ins)
         if ins.addr_ready:
+            # leave the sorted address-ready seqs
+            seqs = self._ready_store_seqs if ins.is_store else self._ready_load_seqs
+            i = bisect_left(seqs, ins.seq)
+            if i < len(seqs) and seqs[i] == ins.seq:
+                del seqs[i]
             if ins.is_store:
-                self._drop_ready_seq(self._ready_store_seqs, ins.seq)
                 words = self._store_words
                 for w in self._words_of(ins):
                     peers = words[w]
                     peers.remove(ins)
                     if not peers:
                         del words[w]
-            else:
-                self._drop_ready_seq(self._ready_load_seqs, ins.seq)
-        self._area_cache = None
 
     def flush(self) -> None:
         self._fwd_load = None
+        powered = self._powered()
         self._ents.clear()
+        self._powered_w += (self._powered() - powered) * self.now
         self._stores.clear()
         self._loads.clear()
         self._store_words.clear()
         self._ready_store_seqs.clear()
         self._ready_load_seqs.clear()
-        self._area_cache = None
 
     # -- introspection ---------------------------------------------------------
     def head_blocked(self, ins: InFlight) -> bool:
         return False  # dispatched implies placed: no deadlock possible
 
-    def active_area(self) -> float:
-        active = len(self._ents) + ACTIVE_EXTRA
-        if self.capacity is not None:
-            active = min(active, self.capacity)
-        return active * self._entry_area
+    def _powered(self) -> int:
+        """Powered entries: those in use plus the extra ones, at most
+        the capacity."""
+        return min(len(self._ents) + CONVENTIONAL_EXTRA_ENTRIES, self._powered_cap)
 
-    def area_breakdown(self) -> dict[str, float]:
-        if self._area_cache is None:
-            self._area_cache = {self.name: self.active_area()}
-        return self._area_cache
+    def active_area(self) -> float:
+        return self._powered() * self._entry_area
+
+    def area_reset(self, t0: int) -> None:
+        super().area_reset(t0)
+        self._powered_w = self._powered() * t0
+
+    def area_integrals(self, t: int) -> dict[str, float]:
+        if t == self._area_t0:
+            return {}
+        return {self.name: (self._powered() * t - self._powered_w) * self._entry_area}
 
     def occupancy(self) -> int:
         return len(self._ents)

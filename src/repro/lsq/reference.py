@@ -3,6 +3,10 @@
 The hot-path overhaul (see ROADMAP.md "Performance") replaced the LSQ
 models' linear searches with O(1) line/word indexes and regrouped the
 SAMIE active-area sum into a closed form over maintained integer terms.
+The reference models integrate their area with the fast models'
+counters (:mod:`repro.energy.leakage`); ``walked_area_breakdown`` is the
+oracle that tests/test_stage8.py checks those counters against, cycle by
+cycle.
 These subclasses retain the *original* linear-scan behaviour --
 placement target selection, the youngest-older-overlapping forwarding
 search, fairness-rule comparison counts, and the sequential all-banks
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 from repro.core.inflight import InFlight
 import repro.lsq.base as base
+from repro.energy.leakage import ADDR_BUFFER_EXTRA_SLOTS
 from repro.energy.tables import (
     DISTRIB_LSQ_ENERGY as E_D,
     SHARED_LSQ_ENERGY as E_S,
@@ -90,7 +95,9 @@ class ReferenceSamieLSQ(SamieLSQ):
         Target selection scans the bank and SharedLSQ lists front to back
         (the fast model's per-line index lists preserve exactly this
         order); the fast model's index/area bookkeeping is maintained so
-        the inherited commit/flush paths stay consistent.
+        the inherited commit/flush paths stay consistent, and bank-full
+        and SharedLSQ changes are charged through the fast model's
+        area helpers.
         """
         line = self.line_of(ins)
         bank_idx = self.bank_of(ins)
@@ -110,7 +117,7 @@ class ReferenceSamieLSQ(SamieLSQ):
             bank.append(target)
             self._bank_lines[bank_idx].setdefault(line, []).append(target)
             if len(bank) == cfg.entries_per_bank:
-                self._full_banks += 1
+                self._bank_full(1)
             self.energy.charge("distrib", E_D["addr_rw"])
         # 3. join a SharedLSQ entry holding the same line
         if target is None:
@@ -124,6 +131,7 @@ class ReferenceSamieLSQ(SamieLSQ):
         ):
             target = SamieEntry(line, shared=True)
             self._shared.append(target)
+            self._shared_resized(1)
             self._shared_lines.setdefault(line, []).append(target)
             self.energy.charge("shared", E_S["addr_rw"])
         if target is None:
@@ -150,9 +158,7 @@ class ReferenceSamieLSQ(SamieLSQ):
     def area_breakdown(self) -> dict[str, float]:
         # original sequential walk of every bank (the fast model keeps
         # integer terms up to date and evaluates a closed form)
-        if self._area_cache is None:
-            self._area_cache = walked_area_breakdown(self)
-        return self._area_cache
+        return walked_area_breakdown(self)
 
 
 def walked_area_breakdown(lsq: SamieLSQ) -> dict[str, float]:
@@ -173,7 +179,7 @@ def walked_area_breakdown(lsq: SamieLSQ) -> dict[str, float]:
         shared += lsq._area_entry_s + slots * lsq._area_slot_s
     if cfg.shared_entries is None or len(lsq._shared) < cfg.shared_entries:
         shared += lsq._area_entry_s + lsq._area_slot_s
-    ab_slots = min(len(lsq._addr_buffer) + 4, cfg.addr_buffer_slots)
+    ab_slots = min(len(lsq._addr_buffer) + ADDR_BUFFER_EXTRA_SLOTS, cfg.addr_buffer_slots)
     addrbuffer = ab_slots * lsq._area_slot_ab
     return {"distrib": distrib, "shared": shared, "addrbuffer": addrbuffer}
 

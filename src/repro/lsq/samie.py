@@ -22,7 +22,8 @@ entry (the paper's "very simple alternative").
 
 Energy follows Table 5 exactly; see the module docstring of
 ``repro.lsq.base`` for the routing contract and
-``repro.energy.leakage`` for the active-area policy.
+``repro.energy.leakage`` for the active-area policy and its
+change-point integration.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.queues import BoundedFIFO
+from repro.common.stats import Histogram
 from repro.core.inflight import InFlight
+from repro.energy.leakage import ADDR_BUFFER_EXTRA_SLOTS
 from repro.energy.tables import (
     ADDR_BUFFER_ENERGY as E_AB,
     BUS_ENERGY as E_BUS,
@@ -50,6 +53,26 @@ from repro.lsq.base import (
     RouteKind,
     StoreRoute,
 )
+
+#: the active-area counters, in the order of ``SamieLSQ._area_counts``
+#: and ``SamieLSQ._area_w``: full banks, DistribLSQ entries and slot
+#: terms, SharedLSQ entries and slot terms, the spare SharedLSQ entry,
+#: powered AddrBuffer slots, and AddrBuffer busy (0 or 1)
+_FULL, _D_ENT, _D_SLOT, _S_ENT, _S_SLOT, _SPARE, _AB_SLOT, _AB_BUSY = range(8)
+
+#: SharedLSQ occupancies above this are counted in the overflow bucket
+OCC_HIST_MAX = 512
+
+#: Table 5 constants of a placement attempt, hoisted out of the tables
+_E_SEND = E_BUS["send_address"]
+_E_CMP_BASE_D = E_D["addr_compare_base"]
+_E_CMP_PER_D = E_D["addr_compare_per_addr"]
+_E_AGE_BASE_D = E_D["age_compare_base"]
+_E_AGE_PER_D = E_D["age_compare_per_id"]
+_E_CMP_BASE_S = E_S["addr_compare_base"]
+_E_CMP_PER_S = E_S["addr_compare_per_addr"]
+_E_AGE_BASE_S = E_S["age_compare_base"]
+_E_AGE_PER_S = E_S["age_compare_per_id"]
 
 
 @dataclass(frozen=True)
@@ -91,7 +114,7 @@ class SamieLSQ(BaseLSQ):
         "_full_banks",
         "_distrib_entries", "_distrib_slot_terms", "_shared_slot_terms",
         "_first_slot_term",
-        "_area_cache",
+        "_area_w", "_occ_hist", "_occ_since",
         "_area_entry_d", "_area_slot_d", "_area_entry_s", "_area_slot_s",
         "_area_slot_ab",
     )
@@ -135,9 +158,13 @@ class SamieLSQ(BaseLSQ):
         self._retry_ok = True
         #: AddrBuffer slots reserved by in-flight address computations
         self._agu_reserved = 0
-        # cached active-area breakdown, rebuilt (a new object) after any
-        # occupancy change: the pipeline's stage 8 tests it by identity
-        self._area_cache: dict[str, float] | None = None
+        #: change-weighted sums W of the area counters (see
+        #: repro.energy.leakage), charged where each counter changes
+        self._area_w = [0] * 8
+        #: SharedLSQ occupancy, one sample per cycle: a run of cycles at
+        #: one occupancy is closed where the occupancy changes
+        self._occ_hist = Histogram(max_value=OCC_HIST_MAX)
+        self._occ_since = 0
         self._area_entry_d = entry_area_distrib()
         self._area_slot_d = slot_area_distrib()
         self._area_entry_s = entry_area_shared()
@@ -160,27 +187,22 @@ class SamieLSQ(BaseLSQ):
         The address travels the bus to its bank and is compared against
         every in-use entry of that bank and of the SharedLSQ, in parallel;
         the age identifier is compared against every in-use slot of the
-        same entries to build the forwarding links.  Charges are applied
-        in the same order as the original per-call accounting (inlined
-        accumulator adds; the table values are non-negative constants).
+        same entries to build the forwarding links.  Each component's
+        charges are added in the same order as the original per-call
+        accounting, to a local copy of its accumulator (the same float
+        sums; the table values are non-negative constants).
         """
         pj = self.energy._pj
         shared = self._shared
-        pj["bus"] += E_BUS["send_address"]
-        pj["distrib"] += (
-            E_D["addr_compare_base"] + E_D["addr_compare_per_addr"] * len(bank)
-        )
-        pj["shared"] += (
-            E_S["addr_compare_base"] + E_S["addr_compare_per_addr"] * len(shared)
-        )
-        age_base_d = E_D["age_compare_base"]
-        age_per_d = E_D["age_compare_per_id"]
+        pj["bus"] += _E_SEND
+        acc = pj["distrib"] + (_E_CMP_BASE_D + _E_CMP_PER_D * len(bank))
         for entry in bank:
-            pj["distrib"] += age_base_d + age_per_d * len(entry.slots)
-        age_base_s = E_S["age_compare_base"]
-        age_per_s = E_S["age_compare_per_id"]
+            acc += _E_AGE_BASE_D + _E_AGE_PER_D * len(entry.slots)
+        pj["distrib"] = acc
+        acc = pj["shared"] + (_E_CMP_BASE_S + _E_CMP_PER_S * len(shared))
         for entry in shared:
-            pj["shared"] += age_base_s + age_per_s * len(entry.slots)
+            acc += _E_AGE_BASE_S + _E_AGE_PER_S * len(entry.slots)
+        pj["shared"] = acc
         self.stats.addr_comparisons += len(bank) + len(shared)
 
     def _try_place(self, ins: InFlight, charge: bool = True) -> bool:
@@ -209,7 +231,7 @@ class SamieLSQ(BaseLSQ):
             bank.append(target)
             lines.setdefault(line, []).append(target)
             if len(bank) == cfg.entries_per_bank:
-                self._full_banks += 1
+                self._bank_full(1)
             self.energy._pj["distrib"] += E_D["addr_rw"]
         # 3. join a SharedLSQ entry holding the same line
         if target is None:
@@ -223,6 +245,7 @@ class SamieLSQ(BaseLSQ):
         ):
             target = SamieEntry(line, shared=True)
             self._shared.append(target)
+            self._shared_resized(1)
             self._shared_lines.setdefault(line, []).append(target)
             self.energy._pj["shared"] += E_S["addr_rw"]
         if target is None:
@@ -248,47 +271,93 @@ class SamieLSQ(BaseLSQ):
     def _slot_joined(self, entry: SamieEntry) -> None:
         """Area terms after ``entry`` gained an instruction."""
         k = len(entry.slots)
+        w = self._area_w
+        now = self.now
         if k == 1:
+            first = self._first_slot_term
             if entry.shared:
-                self._shared_slot_terms += self._first_slot_term
+                self._shared_slot_terms += first
+                w[_S_SLOT] += first * now
             else:
                 self._distrib_entries += 1
-                self._distrib_slot_terms += self._first_slot_term
+                w[_D_ENT] += now
+                self._distrib_slot_terms += first
+                w[_D_SLOT] += first * now
         elif k < self.cfg.slots_per_entry:  # min(k + 1, S) grew by one
             if entry.shared:
                 self._shared_slot_terms += 1
+                w[_S_SLOT] += now
             else:
                 self._distrib_slot_terms += 1
-        self._area_cache = None
+                w[_D_SLOT] += now
 
     def _slot_left(self, entry: SamieEntry) -> None:
         """Area terms before ``entry`` loses an instruction."""
         k = len(entry.slots)
+        w = self._area_w
+        now = self.now
         if k == 1:
+            first = self._first_slot_term
             if entry.shared:
-                self._shared_slot_terms -= self._first_slot_term
+                self._shared_slot_terms -= first
+                w[_S_SLOT] -= first * now
             else:
                 self._distrib_entries -= 1
-                self._distrib_slot_terms -= self._first_slot_term
+                w[_D_ENT] -= now
+                self._distrib_slot_terms -= first
+                w[_D_SLOT] -= first * now
         elif k < self.cfg.slots_per_entry:
             if entry.shared:
                 self._shared_slot_terms -= 1
+                w[_S_SLOT] -= now
             else:
                 self._distrib_slot_terms -= 1
-        self._area_cache = None
+                w[_D_SLOT] -= now
+
+    def _bank_full(self, delta: int) -> None:
+        """A bank became full (``delta`` 1) or stopped being full (-1)."""
+        self._full_banks += delta
+        self._area_w[_FULL] += delta * self.now
+
+    def _shared_resized(self, delta: int) -> None:
+        """The SharedLSQ gained (``delta`` 1) or lost (-1) an entry: its
+        entry and spare-entry counters change, and the occupancy run
+        held so far closes."""
+        now = self.now
+        n = len(self._shared)
+        old = n - delta
+        w = self._area_w
+        w[_S_ENT] += delta * now
+        cap = self.cfg.shared_entries
+        if cap is not None and (n < cap) != (old < cap):
+            w[_SPARE] += (1 if n < cap else -1) * now
+        self._occ_hist.add(old, now - self._occ_since)
+        self._occ_since = now
+
+    def _addr_buffer_resized(self, old: int) -> None:
+        """The AddrBuffer went from ``old`` instructions to its current
+        length: its powered slots and busy flag may change."""
+        n = len(self._addr_buffer._buf)
+        cap = self.cfg.addr_buffer_slots
+        w = self._area_w
+        now = self.now
+        w[_AB_SLOT] += (
+            min(n + ADDR_BUFFER_EXTRA_SLOTS, cap) - min(old + ADDR_BUFFER_EXTRA_SLOTS, cap)
+        ) * now
+        w[_AB_BUSY] += ((n > 0) - (old > 0)) * now
 
     # -- lifecycle ---------------------------------------------------------
     def dispatch(self, ins: InFlight) -> bool:
         self.stats.dispatched += 1
         return True  # capacity pressure appears at placement, not dispatch
 
-    def can_accept_address(self) -> bool:
+    def reserve_address(self) -> bool:
         # §3.3: never execute an address computation that could find the
         # AddrBuffer full -- reserve a slot per in-flight AGU.
-        return len(self._addr_buffer._buf) + self._agu_reserved < self.cfg.addr_buffer_slots
-
-    def address_issued(self) -> None:
+        if len(self._addr_buffer._buf) + self._agu_reserved >= self.cfg.addr_buffer_slots:
+            return False
         self._agu_reserved += 1
+        return True
 
     def address_ready(self, ins: InFlight) -> None:
         self._fwd_load = None
@@ -297,9 +366,9 @@ class SamieLSQ(BaseLSQ):
         if self._try_place(ins):
             return
         self.energy._pj["addrbuffer"] += E_AB["datum_rw"] + E_AB["age_rw"]
-        self._area_cache = None
         if self._addr_buffer.try_push(ins):
             ins.in_addr_buffer = True
+            self._addr_buffer_resized(len(self._addr_buffer._buf) - 1)
         else:
             # nowhere to go: the paper prevents this by sizing; if it
             # happens the pipeline must flush (§3.3)
@@ -316,13 +385,18 @@ class SamieLSQ(BaseLSQ):
             return
         self._fwd_load = None
         buf = self._addr_buffer._buf  # deque: drained head-first
+        old = len(buf)
         while buf:
             if not self._try_place(buf[0]):
                 self._retry_ok = False
                 break
             self.energy._pj["addrbuffer"] += E_AB["datum_rw"] + E_AB["age_rw"]
             buf.popleft()
-            self._area_cache = None
+        if len(buf) != old:
+            self._addr_buffer_resized(old)
+
+    def retry_queue(self):
+        return self._addr_buffer._buf
 
     def quiescent(self) -> bool:
         # begin_cycle is a no-op while the AddrBuffer is empty or the
@@ -465,12 +539,13 @@ class SamieLSQ(BaseLSQ):
         if not entry.slots:
             if entry.shared:
                 self._shared.remove(entry)
+                self._shared_resized(-1)
                 index = self._shared_lines
             else:
                 bank_idx = entry.line % self.cfg.banks
                 bank = self._banks[bank_idx]
                 if len(bank) == self.cfg.entries_per_bank:
-                    self._full_banks -= 1
+                    self._bank_full(-1)
                 bank.remove(entry)
                 index = self._bank_lines[bank_idx]
             peers = index[entry.line]
@@ -481,6 +556,7 @@ class SamieLSQ(BaseLSQ):
 
     def flush(self) -> None:
         self._fwd_load = None
+        before = self._area_counts()
         for bank in self._banks:
             bank.clear()
         for lines in self._bank_lines:
@@ -495,7 +571,12 @@ class SamieLSQ(BaseLSQ):
         self.need_flush = False
         self._retry_ok = True
         self._agu_reserved = 0
-        self._area_cache = None
+        now = self.now
+        w = self._area_w
+        for i, (x0, x1) in enumerate(zip(before, self._area_counts())):
+            w[i] += (x1 - x0) * now
+        self._occ_hist.add(before[_S_ENT], now - self._occ_since)
+        self._occ_since = now
 
     # -- introspection ---------------------------------------------------------
     def head_blocked(self, ins: InFlight) -> bool:
@@ -512,48 +593,79 @@ class SamieLSQ(BaseLSQ):
         return True
 
     def _remove_from_addr_buffer(self, ins: InFlight) -> None:
+        old = len(self._addr_buffer._buf)
         survivors = [i for i in self._addr_buffer if i is not ins]
-        self._area_cache = None
         self._addr_buffer.clear()
         for i in survivors:
             self._addr_buffer.try_push(i)
+        self._addr_buffer_resized(old)
         ins.in_addr_buffer = False
 
     def active_area(self) -> float:
         return sum(self.area_breakdown().values())
 
-    def area_breakdown(self) -> dict[str, float]:
-        # O(1) closed form over integer terms kept up to date by
-        # placement, commit and flush: one powered spare entry per
-        # non-full bank, the in-use entries, and their powered slots
-        # (sum of min(slots + 1, slots_per_entry)).  This regroups the
-        # float sum relative to a sequential walk of all banks (the
-        # oracle in repro.lsq.reference) -- exact, because the Table 5
-        # areas are integral um^2 (guarded by tests/test_bit_identity.py),
-        # so every partial sum is an integer far below 2**53 and
-        # addition never rounds.
-        if self._area_cache is not None:
-            return self._area_cache
+    def _area_counts(self) -> tuple[int, ...]:
+        """The integer counters the active area is built from, in
+        ``_area_w`` order (see the ``_FULL``.. ``_AB_BUSY`` indexes)."""
         cfg = self.cfg
+        n_shared = len(self._shared)
+        n_ab = len(self._addr_buffer._buf)
+        return (
+            self._full_banks, self._distrib_entries, self._distrib_slot_terms,
+            n_shared, self._shared_slot_terms,
+            int(cfg.shared_entries is None or n_shared < cfg.shared_entries),
+            min(n_ab + ADDR_BUFFER_EXTRA_SLOTS, cfg.addr_buffer_slots),
+            int(n_ab > 0),
+        )
+
+    def _areas(self, counts, banks: int) -> dict[str, float]:
+        """Area per component from counter values, or from their
+        integrals (then ``banks`` is the bank count times the cycles).
+        One powered spare entry per non-full bank, the in-use entries,
+        their powered slots (sum of min(slots + 1, slots_per_entry)),
+        the spare SharedLSQ entry and the powered AddrBuffer slots.
+        This regroups the float sum relative to a sequential walk of
+        all banks (the oracle in repro.lsq.reference) -- exact, because
+        the Table 5 areas are integral um^2 (guarded by
+        tests/test_bit_identity.py), so every partial sum is an integer
+        far below 2**53 and addition never rounds."""
         entry_d = self._area_entry_d
         slot_d = self._area_slot_d
-        distrib = (
-            (cfg.banks - self._full_banks) * (entry_d + slot_d)
-            + self._distrib_entries * entry_d
-            + self._distrib_slot_terms * slot_d
-        )
         entry_s = self._area_entry_s
         slot_s = self._area_slot_s
-        n_shared = len(self._shared)
-        shared = n_shared * entry_s + self._shared_slot_terms * slot_s
-        if cfg.shared_entries is None or n_shared < cfg.shared_entries:
-            shared += entry_s + slot_s
-        ab_slots = len(self._addr_buffer._buf) + 4
-        if ab_slots > cfg.addr_buffer_slots:
-            ab_slots = cfg.addr_buffer_slots
-        addrbuffer = ab_slots * self._area_slot_ab
-        self._area_cache = {"distrib": distrib, "shared": shared, "addrbuffer": addrbuffer}
-        return self._area_cache
+        return {
+            "distrib": (banks - counts[_FULL]) * (entry_d + slot_d)
+            + counts[_D_ENT] * entry_d + counts[_D_SLOT] * slot_d,
+            "shared": counts[_S_ENT] * entry_s + counts[_S_SLOT] * slot_s
+            + counts[_SPARE] * (entry_s + slot_s),
+            "addrbuffer": counts[_AB_SLOT] * self._area_slot_ab,
+        }
+
+    def area_breakdown(self) -> dict[str, float]:
+        return self._areas(self._area_counts(), self.cfg.banks)
+
+    def area_reset(self, t0: int) -> None:
+        super().area_reset(t0)
+        self._area_w = [x * t0 for x in self._area_counts()]
+        self._occ_hist = Histogram(max_value=OCC_HIST_MAX)
+        self._occ_since = t0
+
+    def area_integrals(self, t: int) -> dict[str, float]:
+        if t == self._area_t0:
+            return {}
+        integrals = [x * t - w for x, w in zip(self._area_counts(), self._area_w)]
+        return self._areas(integrals, self.cfg.banks * (t - self._area_t0))
+
+    def shared_occupancy(self, t: int) -> Histogram:
+        """SharedLSQ entries in use, one sample per cycle of
+        ``[t0, t)`` (the open run is closed at ``t``)."""
+        self._occ_hist.add(len(self._shared), t - self._occ_since)
+        self._occ_since = t
+        return self._occ_hist
+
+    def addr_buffer_busy(self, t: int) -> int:
+        """Cycles of ``[t0, t)`` that ended with the AddrBuffer busy."""
+        return (len(self._addr_buffer._buf) > 0) * t - self._area_w[_AB_BUSY]
 
     def occupancy(self) -> int:
         n = len(self._addr_buffer)

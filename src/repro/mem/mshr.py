@@ -30,6 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: a cycle never reached: ``MSHRFile._min_ready`` while nothing is in
+#: flight (the pipeline's unit-release horizon uses it too)
+NEVER = 1 << 62
+
 
 @dataclass
 class MSHRStats:
@@ -86,9 +90,10 @@ class MSHRFile:
         #: every miss is charged its full latency (see module docstring)
         self.instant_fill = entries == 1 and targets == 1
         self._inflight: dict[int, MSHREntry] = {}
-        #: earliest outstanding fill completion; lets the per-cycle retire
-        #: poll skip the scan until something can actually complete
-        self._min_ready = 0
+        #: earliest outstanding fill completion (NEVER while nothing is
+        #: in flight): the per-cycle retire poll is one comparison with
+        #: it until something can actually complete
+        self._min_ready = NEVER
         self.stats = MSHRStats()
 
     # -- queries -----------------------------------------------------------
@@ -115,7 +120,7 @@ class MSHRFile:
         if line in self._inflight:
             raise RuntimeError(f"{self.name}: line {line:#x} already in flight")
         entry = MSHREntry(line, ready_cycle)
-        if not self._inflight or ready_cycle < self._min_ready:
+        if ready_cycle < self._min_ready:
             self._min_ready = ready_cycle
         self._inflight[line] = entry
         self.stats.allocations += 1
@@ -136,11 +141,18 @@ class MSHRFile:
         inflight = self._inflight
         if not inflight or cycle < self._min_ready:
             return 0
-        done = [line for line, e in inflight.items() if e.ready_cycle <= cycle]
+        # one pass finds the completed fills and the next ready cycle
+        done = []
+        nxt = NEVER
+        for line, e in inflight.items():
+            ready = e.ready_cycle
+            if ready <= cycle:
+                done.append(line)
+            elif ready < nxt:
+                nxt = ready
         for line in done:
             del inflight[line]
-        if inflight:
-            self._min_ready = min(e.ready_cycle for e in inflight.values())
+        self._min_ready = nxt
         self.stats.retired += len(done)
         return len(done)
 
@@ -148,6 +160,7 @@ class MSHRFile:
         """Drop all in-flight state (testing aid; fills are not squashed
         by pipeline flushes -- memory traffic already left the core)."""
         self._inflight.clear()
+        self._min_ready = NEVER
 
     def stats_dict(self, prefix: str = "") -> dict[str, int]:
         """Flat ``{prefix+field: count}`` snapshot for SimResult.extra."""

@@ -1,9 +1,8 @@
-"""Unit tests for energy tables, accounting and active-area tracking."""
+"""Unit tests for energy tables and accounting."""
 
 import pytest
 
 from repro.energy.accounting import EnergyAccount
-from repro.energy.leakage import ActiveAreaTracker
 from repro.energy.tables import (
     ADDR_BUFFER_ENERGY,
     AREA_CELLS,
@@ -86,14 +85,3 @@ class TestEnergyAccount:
         e.charge("y", 3.0)
         e.reset()
         assert e.total() == 0.0 and e.as_dict() == {}
-
-
-class TestActiveAreaTracker:
-    def test_reset(self):
-        # stage 8 of the pipeline writes the accumulators directly
-        t = ActiveAreaTracker()
-        t._area_cycles["x"] += 1.0
-        t.cycles += 1
-        assert t.as_dict() == {"x": 1.0}
-        t.reset()
-        assert t.as_dict() == {} and t.cycles == 0

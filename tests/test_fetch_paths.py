@@ -129,7 +129,8 @@ def test_bad_op_code_fails_like_next(tmp_path):
 
 def test_read_ahead():
     """Fetch reads a batch source at most one batch ahead, and a plain
-    iterator (e.g. a sampled stream) not at all."""
+    iterator (here a generator) not at all.  A sampled stream over a
+    batch source serves batches too, never past its current window."""
     stream = make_trace("gzip", 1)
     pipe = build_processor("conventional")
     pipe.attach_trace(stream)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import ProcessorConfig
 from repro.core.processor import build_processor, run_simulation
+from repro.lsq.reference import walked_area_breakdown
 from repro.lsq.samie import SamieConfig, SamieLSQ
 from repro.workloads.registry import list_workloads, make_trace
 
@@ -81,17 +82,16 @@ class TestPaperHeadlines:
         assert a_samie > a_base
 
 
-class TestSamieAreaCacheConsistency:
-    def test_cached_breakdown_matches_recompute(self):
+class TestSamieAreaConsistency:
+    def test_breakdown_matches_walk(self):
+        # the O(1) closed form over the maintained counters equals the
+        # reference walk of every bank after every cycle of a real run
         pipe = build_processor(SamieLSQ(SamieConfig()))
         pipe.attach_trace(make_trace("ammp"))
         lsq: SamieLSQ = pipe.lsq
         for _ in range(400):
             pipe.step()
-            cached = lsq.area_breakdown()
-            lsq._area_cache = None  # force recompute
-            fresh = lsq.area_breakdown()
-            assert cached == fresh
+            assert lsq.area_breakdown() == walked_area_breakdown(lsq)
 
 
 class TestDeterminismEndToEnd:

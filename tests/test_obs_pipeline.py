@@ -11,6 +11,7 @@ import pytest
 from repro.core.processor import build_processor
 from repro.experiments.runner import build_lsq, lsq_spec
 from repro.obs.cycletrace import SNAP_FIELDS, CycleTracer
+from repro.obs.profile import STAGE_METHODS, wrap_stages
 from repro.workloads.registry import make_trace
 
 GOLDEN_PATH = os.path.join(
@@ -56,6 +57,20 @@ class TestBitIdentity:
         pipe.set_cycle_tracer(CycleTracer(every=1))
         result = pipe.run(GOLDEN["instructions"], warmup=GOLDEN["warmup"])
         assert result.to_dict() == golden["result"]
+
+
+class TestStageWrapping:
+    def test_every_stage_is_reached_through_self(self):
+        # `repro run --profile` and perfbench's traced run shadow the
+        # stage methods per instance: a stage that step() latched or
+        # inlined would silently read zero there
+        expected = _build("ammp").run(2000)
+        pipe = _build("ammp")
+        seconds: dict[str, float] = {}
+        calls: dict[str, int] = {}
+        wrap_stages(pipe, seconds, calls)
+        assert pipe.run(2000).to_dict() == expected.to_dict()
+        assert all(calls[name] > 0 for name in STAGE_METHODS), calls
 
 
 class TestRing:
