@@ -1,9 +1,10 @@
 """Benchmark harness configuration.
 
-Each ``bench_*`` module regenerates one paper artefact (table/figure) and
-prints the same rows/series the paper reports.  pytest-benchmark measures
-the end-to-end regeneration cost.  Every artefact runs on one shared,
-store-less ``SimService`` (``CacheConfig(backend="off")``): its memo lets
+``bench_artefacts.py`` regenerates each paper artefact (table/figure) of
+``repro.experiments.artefacts`` and prints the same rows/series the paper
+reports.  pytest-benchmark measures the end-to-end regeneration cost.
+Every artefact runs on one shared, store-less ``SimService``
+(``CacheConfig(backend="off")``): its memo lets
 artefacts that share a sweep (Figures 5-12) pay for it once, and having
 no result store means the benches measure simulation cost, not store
 reads from an earlier session.
@@ -13,7 +14,7 @@ batch out over N worker processes (0 = one per core); results are
 bit-identical to the serial run.
 
 Scale: the paper simulates 100M instructions per benchmark; these benches
-run the drivers' default 6000/3000 instructions so the whole suite
+run the artefacts' default 6000/3000 instructions so the whole suite
 regenerates in minutes on a laptop.
 """
 
@@ -42,8 +43,8 @@ def bench_session():
 def regen(benchmark, bench_session):
     """Run an artefact generator once under pytest-benchmark and print it.
 
-    ``REPRO_JOBS`` is threaded into the driver's ``jobs`` argument unless
-    the bench passes one explicitly; the driver runs on
+    ``REPRO_JOBS`` is threaded into the artefact's ``jobs`` argument
+    unless the bench passes one explicitly; the artefact runs on
     :func:`bench_session`.
     """
 

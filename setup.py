@@ -1,11 +1,8 @@
 """Packaging for the SAMIE-LSQ reproduction.
 
-Installs two console scripts (both dispatch to :func:`repro.cli.main`):
-
-* ``samie-repro`` -- the historical name.
-* ``repro``       -- short form; ``repro verify --programs 500 --jobs 8``
-  is the documented pre-merge conformance gate (see ROADMAP.md,
-  "Verification").
+Installs one console script, ``repro``, which dispatches to
+:func:`repro.cli.main`; ``repro verify --programs 500 --jobs 8`` is the
+documented pre-merge conformance gate (see ROADMAP.md, "Verification").
 
 Without installing, the same entry point is ``PYTHONPATH=src python -m
 repro.cli``.
@@ -24,7 +21,6 @@ setup(
     install_requires=["numpy"],
     entry_points={
         "console_scripts": [
-            "samie-repro = repro.cli:main",
             "repro = repro.cli:main",
         ]
     },

@@ -9,7 +9,8 @@ Public API tour:
 * :mod:`repro.workloads` -- the 26 SPEC2000 workload analogues.
 * :mod:`repro.energy` -- CACTI-like delay model and the paper's
   energy/area constants.
-* :mod:`repro.experiments` -- one driver per paper figure/table.
+* :mod:`repro.experiments` -- the paper's figures and tables, declared
+  once in :mod:`repro.experiments.artefacts`.
 """
 
 from repro.core.config import ProcessorConfig

@@ -1,4 +1,4 @@
-"""Command-line interface: ``samie-repro`` (or ``python -m repro.cli``).
+"""Command-line interface: ``repro`` (or ``python -m repro.cli``).
 
 Subcommands:
 
@@ -20,9 +20,11 @@ Subcommands:
                               ``--profile`` prints a per-stage time and
                               occupancy report, ``--cycle-trace PATH``
                               dumps a cycle-level NDJSON event trace
-* ``figure ID``            -- regenerate one paper artefact (``figure -h``
-                              lists the IDs)
-* ``all``                  -- regenerate every artefact
+* ``figure ID``            -- regenerate one paper artefact: an entry of
+                              ``repro.experiments.artefacts.ARTEFACTS``
+                              (``figure -h`` lists the IDs), with its bar
+                              chart if the entry names one
+* ``all``                  -- regenerate every artefact, in table order
 * ``trace``                -- ``record`` a synthetic workload to a
                               ``.uoptrace`` file, ``info`` a file,
                               ``ingest`` a Spike commit log
@@ -73,16 +75,10 @@ time.
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import signal
 import sys
 
-
-EXPERIMENTS = [
-    "figure1", "figure3", "figure4", "figure5", "figure6", "figure7",
-    "figure8", "figure9", "figure10", "figure11", "figure12", "table1",
-]
 
 #: environment variables that once set a run's scale or store -> the flag
 #: that replaced each; ``main`` refuses to run while one is set, so an old
@@ -392,31 +388,20 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
-#: per-figure column rendered as an ASCII bar chart (the paper's figures
-#: are bar charts), with an optional reference line
-_BAR_COLUMNS = {
-    "figure1": ("ipc_pct", 100.0),
-    "figure5": ("ipc_loss_pct", 0.0),
-    "figure6": ("per_Mcycle", None),
-    "figure7": ("saving_pct", None),
-    "figure9": ("saving_pct", None),
-    "figure10": ("saving_pct", None),
-    "figure11": ("samie_advantage_pct", 0.0),
-}
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.artefacts import ARTEFACTS
+
     mem = _parse_mem(args)
     if mem is _MEM_ERROR:
         return 2
-    mod = importlib.import_module(f"repro.experiments.{args.id}")
-    result = mod.compute(instructions=args.instructions, warmup=args.warmup,
-                         jobs=args.jobs, mem=mem, session=_session(args))
+    artefact = ARTEFACTS[args.id]
+    result = artefact.compute(instructions=args.instructions, warmup=args.warmup,
+                              jobs=args.jobs, mem=mem, session=_session(args))
     print(result.to_text())
-    if args.id in _BAR_COLUMNS:
+    if artefact.bar:
         from repro.experiments.report import bar_chart
 
-        col, baseline = _BAR_COLUMNS[args.id]
+        col, baseline = artefact.bar
         labels = [str(r[0]) for r in result.rows]
         print()
         print(bar_chart(labels, result.column(col), baseline=baseline))
@@ -424,6 +409,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
+    from repro.experiments.artefacts import ARTEFACTS
+
     out_dir = getattr(args, "out", None)
     mem = _parse_mem(args)
     if mem is _MEM_ERROR:
@@ -431,10 +418,9 @@ def _cmd_all(args: argparse.Namespace) -> int:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     session = _session(args)  # one session: Figures 5-12 share one sweep
-    for exp in EXPERIMENTS:
-        mod = importlib.import_module(f"repro.experiments.{exp}")
-        result = mod.compute(instructions=args.instructions, warmup=args.warmup,
-                             jobs=args.jobs, mem=mem, session=session)
+    for exp, artefact in ARTEFACTS.items():
+        result = artefact.compute(instructions=args.instructions, warmup=args.warmup,
+                                  jobs=args.jobs, mem=mem, session=session)
         text = result.to_text()
         print(text)
         print()
@@ -765,9 +751,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+class _ArtefactIDs:
+    """``figure``'s choices: the artefact table's IDs, read only when
+    argparse checks or lists them.  Building the parser then imports no
+    simulator module, so ``serve`` starts without them; the argument
+    names its own ``metavar`` because argparse would otherwise iterate
+    the choices to build one when the argument is added."""
+
+    def __iter__(self):
+        from repro.experiments.artefacts import ARTEFACTS
+
+        return iter(ARTEFACTS)
+
+    def __contains__(self, figure_id: object) -> bool:
+        return figure_id in list(self)
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
-    parser = argparse.ArgumentParser(prog="samie-repro", description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     wl_p = sub.add_parser("workloads", help="list the workloads `run` accepts")
@@ -846,7 +848,8 @@ def main(argv: list[str] | None = None) -> int:
     run_p.set_defaults(fn=_cmd_run)
 
     fig_p = sub.add_parser("figure", help="regenerate one paper artefact")
-    fig_p.add_argument("id", choices=EXPERIMENTS, help="paper artefact")
+    fig_p.add_argument("id", metavar="ID", choices=_ArtefactIDs(),
+                       help="paper artefact: %(choices)s")
     add_artefact_flags(fig_p)
     add_sweep_flags(fig_p)
     fig_p.set_defaults(fn=_cmd_figure)

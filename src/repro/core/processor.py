@@ -2,7 +2,7 @@
 
 ``build_processor`` wires a pipeline to an LSQ model and the memory
 hierarchy; ``run_simulation`` is the one-call entry point used by the
-examples and experiment drivers.
+examples.
 """
 
 from __future__ import annotations

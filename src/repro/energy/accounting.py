@@ -1,9 +1,9 @@
 """Dynamic-energy accounting.
 
 ``EnergyAccount`` is a bag of named picojoule accumulators.  Every LSQ
-model and the pipeline charge events to an account; experiment drivers read
-totals per category to regenerate the paper's Figures 7-10 (energy) and
-Figure 8 (breakdown).
+model and the pipeline charge events to an account; the paper's artefacts
+(:mod:`repro.experiments.artefacts`) read totals per category to
+regenerate the paper's Figures 7-10 (energy) and Figure 8 (breakdown).
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
-"""Result containers and text formatting for the experiment drivers."""
+"""Result container and text formatting for the paper's artefacts."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -11,8 +10,7 @@ class FigureResult:
     """One regenerated paper artefact.
 
     ``rows`` is the figure's series in the paper's x-axis order;
-    ``summary`` holds the headline scalars with paper reference values for
-    EXPERIMENTS.md.
+    ``summary`` holds the headline scalars with paper reference values.
     """
 
     figure_id: str
@@ -79,13 +77,6 @@ def _num(c: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def geomean(values: list[float]) -> float:
-    """Geometric mean (values must be positive)."""
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def bar_chart(

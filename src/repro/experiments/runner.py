@@ -22,9 +22,8 @@ Execution and caching live in :mod:`repro.service`:
 This module keeps the **stable spec vocabulary** (``SimSpec``,
 ``lsq_spec``, ``mem_spec``, the canonical machines) plus thin,
 bit-identical facades over a session: :func:`run_spec` (the pure worker
-body), :func:`run_many`, :func:`sweep` and :func:`suite_pairs`.  Every
-facade accepts ``session=`` to target an explicit :class:`SimService`
-(or a
+body), :func:`run_many` and :func:`sweep`.  Every facade accepts
+``session=`` to target an explicit :class:`SimService` (or a
 :class:`~repro.service.client.ServiceClient` speaking to a remote one);
 with ``session=None`` they share :func:`default_session`, built once
 over this module's memo and the default ``CacheConfig()`` store.
@@ -61,7 +60,6 @@ from repro.workloads.registry import (
     make_trace,
     resolve_trace_path,
 )
-from repro.workloads.spec2000 import SPEC2000_PROFILES
 
 #: bump when SimResult/semantics change so stale disk entries are ignored
 #: (2: key gained sampling-plan and trace-digest fields; 3: non-blocking
@@ -82,12 +80,6 @@ CACHE_VERSION = 6
 DEFAULT_INSTRUCTIONS = 6000
 DEFAULT_WARMUP = 3000
 
-
-#: Subset used by the expensive ARB sweep (Figure 1) at default scale.
-REPRESENTATIVE_WORKLOADS = [
-    "ammp", "applu", "art", "bzip2", "crafty", "equake",
-    "facerec", "gcc", "mcf", "mgrid", "swim", "twolf",
-]
 
 _cache: dict[tuple, SimResult] = {}
 
@@ -541,27 +533,3 @@ def sweep(
     results = run_many(specs, jobs=jobs, session=session)
     return {(w, m[0]): r for (w, m), r in zip(pairs, results)}
 
-
-def suite_pairs(
-    workloads: list[str] | None = None,
-    instructions: int | None = None,
-    warmup: int | None = None,
-    seed: int = 1,
-    jobs: int | None = 1,
-    mem: MemSpec | dict | None = None,
-    session=None,
-) -> dict[str, tuple[SimResult, SimResult]]:
-    """Conventional-vs-SAMIE results for a set of workloads (default all).
-
-    The whole suite is submitted as one :func:`run_many` batch, so with
-    ``jobs > 1`` the 2 x N simulations fan out over the worker shards.
-    ``mem`` applies a :func:`mem_spec` override set to every point;
-    ``session`` targets an explicit (possibly remote) session.
-    """
-    names = workloads if workloads is not None else sorted(SPEC2000_PROFILES)
-    specs = []
-    for w in names:
-        specs.append(SimSpec.make(w, MACHINE_CONV128, instructions, warmup, seed, mem=mem))
-        specs.append(SimSpec.make(w, MACHINE_SAMIE, instructions, warmup, seed, mem=mem))
-    results = run_many(specs, jobs=jobs, session=session)
-    return {w: (results[2 * i], results[2 * i + 1]) for i, w in enumerate(names)}

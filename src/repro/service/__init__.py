@@ -12,12 +12,12 @@ Layered, bottom up:
 * :mod:`repro.service.wire` -- the JSON wire format for ``SimSpec``.
 * :mod:`repro.service.httpapi` / :mod:`repro.service.client` -- the
   stdlib HTTP/JSON front end (``repro serve``) and its client
-  (``repro submit``; ``ServiceClient`` is session-shaped, so drivers
-  accept it via their ``session=`` argument).
+  (``repro submit``; ``ServiceClient`` is session-shaped, so
+  ``Artefact.compute`` accepts it via its ``session=`` argument).
 
-The ``repro.experiments.runner`` entry points (``run_many``/``sweep``/
-``suite_pairs``/...) are thin facades over a session: the one passed as
-``session=``, else the runner's default session over ``CacheConfig()``.
+The ``repro.experiments.runner`` entry points (``run_many``/``sweep``)
+are thin facades over a session: the one passed as ``session=``, else
+the runner's default session over ``CacheConfig()``.
 
 Submodules import lazily (PEP 562) so ``repro.experiments.runner`` can
 import :mod:`repro.service.store` without dragging in the HTTP stack.

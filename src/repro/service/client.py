@@ -4,12 +4,12 @@
 ``urllib``; no dependencies.  It is deliberately *session-shaped*: it
 exposes ``run_many(specs)`` with the same signature and bit-identical
 results as :meth:`repro.service.session.SimService.run_many`, so any
-code written against a session -- including every figure/table driver's
+code written against a session -- including every paper artefact's
 ``compute(..., session=)`` hook -- can run against a remote service
 unchanged::
 
     client = ServiceClient("http://127.0.0.1:8421")
-    fig5 = repro.experiments.figure5.compute(session=client)
+    fig5 = ARTEFACTS["figure5"].compute(session=client)
 
 Service-side errors are re-raised as :class:`ServiceClientError` with
 the HTTP status and the server's message.

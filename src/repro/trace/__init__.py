@@ -22,8 +22,8 @@ Three pillars (see ROADMAP.md "Trace subsystem"):
 :mod:`repro.trace.workload` adapts a trace file into the workload
 registry: ``trace:<path>`` is the one name of a trace, so the pipeline,
 the sweep engine (`SimSpec`/`run_many`, disk cache, process pool), the
-CLI (``repro run trace:<path>``) and the figure drivers replay recorded
-traces unchanged.
+CLI (``repro run trace:<path>``) and the paper's artefacts replay
+recorded traces unchanged.
 """
 
 from repro.trace.format import (

@@ -1,11 +1,15 @@
-"""Regenerate the core bit-identity golden file.
+"""Regenerate both golden files.
 
-The goldens pin the *pre-refactor* simulator semantics: full
-``SimResult.to_dict()`` snapshots (cycles, energy picojoules, area
-um^2-cycles, every stat counter -- floats compared exactly) for each LSQ
-model across representative geometries and workloads at test scale.  The
-hot-path-optimized simulator must reproduce them bit-for-bit
-(``tests/test_bit_identity.py``).
+* ``core_bit_identity.json`` pins the *pre-refactor* simulator
+  semantics: full ``SimResult.to_dict()`` snapshots (cycles, energy
+  picojoules, area um^2-cycles, every stat counter -- floats compared
+  exactly) for each LSQ model across representative geometries and
+  workloads at test scale.  The hot-path-optimized simulator must
+  reproduce them bit-for-bit (``tests/test_bit_identity.py``).
+* ``artefacts.json`` pins every paper artefact: each ``ARTEFACTS``
+  entry's ``FigureResult.to_dict()`` at 300/100 with its default
+  workloads and points, key order kept (``tests/test_experiments.py``),
+  so a changed formula or aggregation shows as a diff.
 
 Only regenerate after an *intentional* semantic change, in the same
 commit that explains why:
@@ -20,10 +24,14 @@ import os
 
 from repro.core.config import ProcessorConfig
 from repro.core.processor import build_processor
+from repro.experiments.artefacts import ARTEFACTS
 from repro.experiments.runner import build_lsq, lsq_spec
+from repro.service.session import SimService
+from repro.service.store import CacheConfig
 from repro.workloads.registry import make_trace
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "core_bit_identity.json")
+ARTEFACTS_PATH = os.path.join(os.path.dirname(__file__), "artefacts.json")
 
 INSTRUCTIONS = 3000
 WARMUP = 500
@@ -72,8 +80,21 @@ def generate() -> dict:
     return doc
 
 
+def generate_artefacts(instructions: int = 300, warmup: int = 100) -> dict:
+    doc = {"instructions": instructions, "warmup": warmup, "artefacts": {}}
+    with SimService(cache=CacheConfig(backend="off")) as session:
+        for figure_id, artefact in ARTEFACTS.items():
+            result = artefact.compute(instructions=instructions, warmup=warmup, session=session)
+            doc["artefacts"][figure_id] = result.to_dict()
+            print(f"{figure_id}: {len(result.rows)} rows")
+    return doc
+
+
 if __name__ == "__main__":
-    with open(GOLDEN_PATH, "w") as fh:
-        json.dump(generate(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {GOLDEN_PATH}")
+    # the artefacts keep their key order: it is the order ``to_text`` prints
+    for path, doc, sort_keys in ((GOLDEN_PATH, generate(), True),
+                                 (ARTEFACTS_PATH, generate_artefacts(), False)):
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=sort_keys)
+            fh.write("\n")
+        print(f"wrote {path}")

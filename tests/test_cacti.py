@@ -16,7 +16,10 @@ from repro.energy.cacti import (
     fa_search_energy,
     ram_access_time,
 )
-from repro.experiments.table1 import PAPER_TABLE1
+from repro.experiments.artefacts import ARTEFACTS
+
+#: the paper's Table 1 rows: (size, assoc, ports, paper_conv, paper_known)
+PAPER_TABLE1 = ARTEFACTS["table1"].points
 
 TOL = 0.20  # relative tolerance against the paper's published numbers
 

@@ -87,8 +87,9 @@ class TestCliOut(object):
     def test_all_with_out_writes_files(self, tmp_path, monkeypatch):
         # restrict to the instant artefact to keep this test fast
         import repro.cli as cli
+        from repro.experiments import artefacts
 
-        monkeypatch.setattr(cli, "EXPERIMENTS", ["table1"])
+        monkeypatch.setattr(artefacts, "ARTEFACTS", {"table1": artefacts.ARTEFACTS["table1"]})
         rc = cli.main(["all", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "table1.txt").exists()
