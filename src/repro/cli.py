@@ -753,18 +753,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 class _ArtefactIDs:
     """``figure``'s choices: the artefact table's IDs, read only when
-    argparse checks or lists them.  Building the parser then imports no
-    simulator module, so ``serve`` starts without them; the argument
-    names its own ``metavar`` because argparse would otherwise iterate
-    the choices to build one when the argument is added."""
+    argparse checks or lists them.  Building the parser then leaves the
+    table, and the runner and result store it imports, unimported, so
+    ``serve`` starts without them; the argument names its own
+    ``metavar`` because argparse would otherwise iterate the choices to
+    build one when the argument is added."""
 
     def __iter__(self):
         from repro.experiments.artefacts import ARTEFACTS
 
         return iter(ARTEFACTS)
-
-    def __contains__(self, figure_id: object) -> bool:
-        return figure_id in list(self)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,8 +8,8 @@ the column ``repro figure`` draws as a bar chart.  Each tabulate
 function's docstring states the paper claim it reproduces; each
 ``summary`` holds the headline scalars beside the paper's values.
 
-:meth:`Artefact.compute` submits the workload x machine specs as one
-:func:`~repro.experiments.runner.run_many` batch on the ``session=`` it is
+:meth:`Artefact.compute` submits the workload x machine cross product as
+one :func:`~repro.experiments.runner.sweep` batch on the ``session=`` it is
 given (default: the runner's default session), which memoises per spec,
 serves the session's result store and fans uncached specs out over a
 process pool when ``jobs > 1``.  Figures 5-12 simulate the same
@@ -29,10 +29,9 @@ from repro.experiments.runner import (
     MACHINE_CONV128,
     MACHINE_SAMIE,
     MACHINE_UNBOUNDED,
-    SimSpec,
     machine_arb,
     machine_samie_unbounded_shared,
-    run_many,
+    sweep,
 )
 from repro.workloads.spec2000 import SPEC2000_PROFILES
 
@@ -69,11 +68,9 @@ class Artefact:
         """Regenerate the artefact over ``workloads`` (default: its own)."""
         names = list(self.workloads if workloads is None else workloads)
         machines = self.machines(self.points)
-        specs = [SimSpec.make(w, m, instructions, warmup, mem=mem)
-                 for w in names for m in machines]
-        flat = run_many(specs, jobs=jobs, session=session) if specs else []
-        n = len(machines)
-        results = {w: flat[i * n:(i + 1) * n] for i, w in enumerate(names)}
+        res = sweep(names, machines, instructions, warmup, jobs=jobs, mem=mem,
+                    session=session) if machines else {}
+        results = {w: [res[(w, m[0])] for m in machines] for w in names}
         return FigureResult(self.figure_id, self.title, list(self.columns),
                             *self.tabulate(self.points, results))
 

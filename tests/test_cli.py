@@ -49,7 +49,7 @@ class TestCLI:
     def test_parser_leaves_the_table_unimported(self):
         # `figure` reads its choices when it checks or lists them, so a
         # command that regenerates no artefact (`serve`) starts without
-        # importing the table and the simulator modules behind it
+        # importing the table and the runner and store modules behind it
         probe = ("import sys\nfrom repro.cli import main\n"
                  "try:\n    main(['serve', '--help'])\nexcept SystemExit:\n    pass\n"
                  "print('repro.experiments.artefacts' in sys.modules)\n")

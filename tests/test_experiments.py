@@ -132,10 +132,32 @@ class TestTable1:
         assert fr.columns[0] == "config"
 
 
+def _assert_same(got, want, where: str) -> None:
+    """``got`` has ``want``'s shape exactly -- types (an int stays an
+    int), dict keys in order, list lengths, strings, ints -- and its
+    floats to 1e-12.  Python 3.12's ``sum()`` compensates its rounding,
+    so an average may move in its last bits between interpreter
+    versions; a changed formula or aggregation moves it far more."""
+    assert type(got) is type(want), f"{where}: got {got!r}, want {want!r}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{where}: keys {list(got)} != {list(want)}"
+        for key in want:
+            _assert_same(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{where}: {len(got)} items, want {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (
+            f"{where}: got {got!r}, want {want!r}")
+    else:
+        assert got == want, f"{where}: got {got!r}, want {want!r}"
+
+
 class TestArtefactGolden:
     """Every artefact at the golden's scale, with its default workloads
-    and points, reproduces ``tests/golden/artefacts.json`` exactly: rows,
-    summary (in order), notes, floats bit for bit and ints as ints.
+    and points, reproduces ``tests/golden/artefacts.json``: rows, summary
+    (in order) and notes, compared by :func:`_assert_same`.
 
     Regenerate only after an intentional change to a simulated result or
     a formula: ``PYTHONPATH=src python tests/golden/gen_bit_identity.py``.
@@ -155,13 +177,7 @@ class TestArtefactGolden:
         result = ARTEFACTS[figure_id].compute(
             instructions=GOLDEN["instructions"], warmup=GOLDEN["warmup"], session=session)
         got = json.loads(json.dumps(result.to_dict()))
-        want = GOLDEN["artefacts"][figure_id]
-        for key in want:
-            assert got[key] == want[key], (
-                f"{figure_id}: {key!r} diverged from the golden\n"
-                f" want: {want[key]}\n  got: {got[key]}"
-            )
-        assert json.dumps(got) == json.dumps(want)  # key order, int vs float
+        _assert_same(got, GOLDEN["artefacts"][figure_id], figure_id)
 
     def test_bar_charts(self):
         bars = {k: a.bar for k, a in ARTEFACTS.items() if a.bar}
